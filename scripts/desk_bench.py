@@ -37,23 +37,13 @@ def run_family(name, cfg, scheme, args):
         seed=args.seed,
         mem_limit_mb=args.mem_limit_mb,
     )
-    out = os.path.join(args.out_dir, name)
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "results.csv"), "w", newline="") as fh:
-        bench.write_csv(records, fh)
-    table = bench.summary_table(records, ALGS, STRATEGIES)
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write(table)
-    with open(os.path.join(out, "cactus.csv"), "w", newline="") as fh:
-        bench.write_rows_csv(
-            bench.cactus_rows(records), ["alg", "strategy", "rank", "time_s"], fh
-        )
-    with open(os.path.join(out, "scatter_wbo_user_vs_none.csv"), "w", newline="") as fh:
-        bench.write_rows_csv(
-            bench.scatter_rows(records, ("wbo", "user"), ("wbo", "none")),
-            ["instance", "time_user", "status_user", "time_none", "status_none"],
-            fh,
-        )
+    table = bench.write_reports(
+        records,
+        ALGS,
+        STRATEGIES,
+        os.path.join(args.out_dir, name),
+        [(("wbo", "user"), ("wbo", "none"))],
+    )
     print(f"[{name}] solved-count table (timeout {args.timeout}s):")
     print(table)
 

@@ -224,3 +224,26 @@ def write_rows_csv(rows, header, fh) -> None:
     w.writerow(header)
     for row in rows:
         w.writerow(row)
+
+
+def write_reports(records, algs, strategies, out_dir, scatters) -> str:
+    """Write results.csv, summary.txt, cactus.csv and one scatter CSV per
+    ((alg, strategy), (alg, strategy)) pair in scatters under out_dir.
+    Returns the summary table."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
+        write_csv(records, fh)
+    summary = summary_table(records, algs, strategies)
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+        fh.write(summary)
+    with open(os.path.join(out_dir, "cactus.csv"), "w", newline="") as fh:
+        write_rows_csv(cactus_rows(records), ["alg", "strategy", "rank", "time_s"], fh)
+    for cfg_a, cfg_b in scatters:
+        name = f"scatter_{cfg_a[0]}-{cfg_a[1]}_vs_{cfg_b[0]}-{cfg_b[1]}.csv".replace(":", "-")
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            write_rows_csv(
+                scatter_rows(records, cfg_a, cfg_b),
+                ["instance", "time_a", "status_a", "time_b", "status_b"],
+                fh,
+            )
+    return summary

@@ -73,13 +73,12 @@ class Totalizer:
     negation of output b+1; tightening the bound later needs no new clauses.
     """
 
-    __slots__ = ("inputs", "outputs")
+    __slots__ = ("outputs",)
 
     def __init__(self, inputs, alloc: VarAllocator, emit):
         inputs = list(inputs)
         if not inputs:
             raise ValueError("totalizer needs at least one input")
-        self.inputs = tuple(inputs)
         self.outputs = _tot_build(inputs, alloc, emit)
 
     @property

@@ -178,6 +178,18 @@ def cmd_bench(args) -> int:
         if a not in ALGS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return 2
+    scatters = []
+    for spec in args.scatter or []:
+        try:
+            a, b = spec.split("/")
+            cfg_a = tuple(a.split(":"))
+            cfg_b = tuple(b.split(":"))
+            if len(cfg_a) != 2 or len(cfg_b) != 2:
+                raise ValueError
+        except ValueError:
+            print(f"error: bad scatter spec {spec!r}; use alg:strategy/alg:strategy", file=sys.stderr)
+            return 2
+        scatters.append((cfg_a, cfg_b))
     corpus = sorted(
         os.path.join(args.corpus, f)
         for f in os.listdir(args.corpus)
@@ -195,33 +207,7 @@ def cmd_bench(args) -> int:
         seed=_seed_of(args),
         mem_limit_mb=args.mem_limit_mb,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "results.csv"), "w", newline="") as fh:
-        bench_mod.write_csv(records, fh)
-    summary = bench_mod.summary_table(records, algs, strategies)
-    with open(os.path.join(args.out_dir, "summary.txt"), "w") as fh:
-        fh.write(summary)
-    with open(os.path.join(args.out_dir, "cactus.csv"), "w", newline="") as fh:
-        bench_mod.write_rows_csv(
-            bench_mod.cactus_rows(records), ["alg", "strategy", "rank", "time_s"], fh
-        )
-    for spec in args.scatter or []:
-        try:
-            a, b = spec.split("/")
-            cfg_a = tuple(a.split(":"))
-            cfg_b = tuple(b.split(":"))
-            if len(cfg_a) != 2 or len(cfg_b) != 2:
-                raise ValueError
-        except ValueError:
-            print(f"error: bad scatter spec {spec!r}; use alg:strategy/alg:strategy", file=sys.stderr)
-            return 2
-        name = f"scatter_{cfg_a[0]}-{cfg_a[1]}_vs_{cfg_b[0]}-{cfg_b[1]}.csv".replace(":", "-")
-        with open(os.path.join(args.out_dir, name), "w", newline="") as fh:
-            bench_mod.write_rows_csv(
-                bench_mod.scatter_rows(records, cfg_a, cfg_b),
-                ["instance", "time_a", "status_a", "time_b", "status_b"],
-                fh,
-            )
+    summary = bench_mod.write_reports(records, algs, strategies, args.out_dir, scatters)
     sys.stdout.write(summary)
     return 0
 

@@ -27,14 +27,6 @@ class _Tautology:
 TAUTOLOGY = _Tautology()
 
 
-def neg(lit: int) -> int:
-    return -lit
-
-
-def var_of(lit: int) -> int:
-    return abs(lit)
-
-
 def lit_is_true(model, lit: int) -> bool:
     """Evaluate a literal under a model given as bool-list indexed by variable."""
     v = model[abs(lit)]
@@ -182,6 +174,3 @@ class VarAllocator:
     def fresh(self) -> int:
         self.top += 1
         return self.top
-
-    def fresh_block(self, k: int) -> list:
-        return [self.fresh() for _ in range(k)]

@@ -10,11 +10,13 @@ Four algorithms over one shared incremental SAT solver per run:
 - wbo: core-guided with per-core clause copies, weight splitting and
   at-most-one constraints over the fresh relaxation variables.
 
-The partition driver solves each soft-clause block independently, then
-repeatedly merges the two smallest blocks and re-solves the union starting
-from the sum of the parts' proven bounds. Soft clauses enter the solver
-once, guarded; cores are reported over the guard literals, so all carried
-state (relaxation variables, counting structures, bounds) survives merges.
+The three core-guided algorithms share one driver, the partition-merge
+loop: it solves each soft-clause block independently, then repeatedly
+merges the two smallest blocks and re-solves the union starting from the
+sum of the parts' proven bounds. Solving without partitions is the same
+loop over a single block. Soft clauses enter the solver once, guarded;
+cores are reported over the guard literals, so all carried state
+(relaxation variables, counting structures, bounds) survives merges.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cards import GenTotalizer, Totalizer
+from .cards import GenTotalizer, Totalizer, encode_at_most_k
 from .cnf import MaxSatInstance, PartitionedInstance, VarAllocator, lit_is_true
 from .sat import Solver, SolverTimeout
 
@@ -64,12 +66,9 @@ class _Run:
     """Shared solver session: hard clauses plus one guarded copy of every
     soft clause; tracks the best model seen across all SAT calls."""
 
-    def __init__(
-        self, inst: MaxSatInstance, budget: float | None = None, minimize_cores: bool = False
-    ):
+    def __init__(self, inst: MaxSatInstance, budget: float | None = None):
         inst.validate()
         self.inst = inst
-        self.minimize_cores = minimize_cores
         deadline = None if budget is None else time.monotonic() + budget
         self.solver = Solver(deadline=deadline)
         self.alloc = VarAllocator(inst.n_vars)
@@ -99,11 +98,6 @@ class _Run:
             if self.best_cost is None or cost < self.best_cost:
                 self.best_cost, self.best_model = cost, model
         return out
-
-    def core_of(self, outcome):
-        if self.minimize_cores and outcome.core:
-            return self.solver.minimize_core(outcome.core)
-        return outcome.core
 
     def block_cost(self, model, soft_ids) -> int:
         return sum(
@@ -162,7 +156,7 @@ class _Msu3Engine:
             if out.sat:
                 _check_block_optimum(run, st.soft_ids, out.model, st.lb)
                 return st.lb, out.model[: run.inst.n_vars + 1]
-            core = run.core_of(out)
+            core = out.core
             if not core:
                 raise RuntimeError("unexpected empty core after a satisfiable hard check")
             run.stats.cores += 1
@@ -226,7 +220,7 @@ class _OllEngine:
             if out.sat:
                 _check_block_optimum(run, st.soft_ids, out.model, st.lb)
                 return st.lb, out.model[: run.inst.n_vars + 1]
-            core = sorted(run.core_of(out))
+            core = sorted(out.core)
             if not core:
                 raise RuntimeError("unexpected empty core after a satisfiable hard check")
             run.stats.cores += 1
@@ -278,7 +272,7 @@ class _WboState:
 
 class _WboEngine:
     """Per-core weight splitting with fresh relaxation variables and an
-    at-most-one constraint over them (pairwise encoding)."""
+    at-most-one constraint over them (sequential-counter encoding)."""
 
     def __init__(self, run: _Run):
         self.run = run
@@ -303,7 +297,7 @@ class _WboEngine:
             if out.sat:
                 _check_block_optimum(run, st.soft_ids, out.model, st.lb)
                 return st.lb, out.model[: run.inst.n_vars + 1]
-            core = sorted(run.core_of(out))
+            core = sorted(out.core)
             if not core:
                 raise RuntimeError("unexpected empty core after a satisfiable hard check")
             run.stats.cores += 1
@@ -328,9 +322,8 @@ class _WboEngine:
                 else:
                     st.pool[l] = (lits, w - w_star)
                 relax.append(r)
-            for i in range(len(relax)):
-                for j in range(i + 1, len(relax)):
-                    run.emit((-relax[i], -relax[j]))
+            for cl in encode_at_most_k(relax, 1, run.alloc):
+                run.emit(cl)
 
 
 _ENGINES = {
@@ -386,41 +379,16 @@ def solve_lsu(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
         return _timeout_result(run, 0, t0)
 
 
-def _solve_plain(
-    inst: MaxSatInstance,
-    alg: AlgorithmKind,
-    budget: float | None,
-    minimize_cores: bool = False,
-) -> SolveResult:
-    t0 = time.monotonic()
-    run = _Run(inst, budget, minimize_cores=minimize_cores)
-    engine = _ENGINES[alg](run)
-    st = engine.new_state(range(len(inst.soft)))
-    try:
-        if not run.sat(()).sat:
-            return _result(run, Status.HARD_UNSAT, None, None, 0, t0)
-        cost, model = engine.solve_block(st)
-        return _result(run, Status.OPTIMUM, cost, model, cost, t0)
-    except SolverTimeout:
-        return _timeout_result(run, st.lb, t0)
+def solve_msu3(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
+    return solve_partitioned(PartitionedInstance.single_block(inst), AlgorithmKind.MSU3, budget)
 
 
-def solve_msu3(
-    inst: MaxSatInstance, budget: float | None = None, minimize_cores: bool = False
-) -> SolveResult:
-    return _solve_plain(inst, AlgorithmKind.MSU3, budget, minimize_cores)
+def solve_oll(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
+    return solve_partitioned(PartitionedInstance.single_block(inst), AlgorithmKind.OLL, budget)
 
 
-def solve_oll(
-    inst: MaxSatInstance, budget: float | None = None, minimize_cores: bool = False
-) -> SolveResult:
-    return _solve_plain(inst, AlgorithmKind.OLL, budget, minimize_cores)
-
-
-def solve_wbo(
-    inst: MaxSatInstance, budget: float | None = None, minimize_cores: bool = False
-) -> SolveResult:
-    return _solve_plain(inst, AlgorithmKind.WBO, budget, minimize_cores)
+def solve_wbo(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
+    return solve_partitioned(PartitionedInstance.single_block(inst), AlgorithmKind.WBO, budget)
 
 
 def select_partitions(sizes) -> tuple:
@@ -437,15 +405,13 @@ def solve_partitioned(
     pinst: PartitionedInstance,
     alg: AlgorithmKind | str,
     budget: float | None = None,
-    phase_hints: bool = False,
-    minimize_cores: bool = False,
 ) -> SolveResult:
     """Partition-merge driver: solve every block, then repeatedly merge the
     two smallest blocks and re-solve with carried state until one remains.
 
-    With a single block this reduces exactly to the plain algorithm. The
-    driver requires a core-guided algorithm; lsu is bound-driven and is
-    rejected.
+    A single block is the unpartitioned algorithm. An instance without soft
+    clauses is solved as one empty block. The driver requires a core-guided
+    algorithm; lsu is bound-driven and is rejected.
     """
     alg = AlgorithmKind(alg)
     if alg == AlgorithmKind.LSU:
@@ -453,27 +419,19 @@ def solve_partitioned(
     pinst.validate()
     inst = pinst.base
     t0 = time.monotonic()
-    run = _Run(inst, budget, minimize_cores=minimize_cores)
+    run = _Run(inst, budget)
     engine = _ENGINES[alg](run)
-    blocks = pinst.blocks()
+    blocks = pinst.blocks() or {1: []}
     run.stats.n_partitions = len(blocks)
     parts: dict = {}
     try:
         if not run.sat(()).sat:
             return _result(run, Status.HARD_UNSAT, None, None, 0, t0)
-        if len(blocks) <= 1:
-            label = next(iter(blocks), 1)
-            st = engine.new_state(range(len(inst.soft)))
-            parts[label] = (st, (label,))
-            cost, model = engine.solve_block(st)
-            return _result(run, Status.OPTIMUM, cost, model, cost, t0)
         for label, ids in blocks.items():
             st = engine.new_state(ids)
             parts[label] = (st, (label,))
             cost, model = engine.solve_block(st)
             run.stats.partition_costs.append(((label,), cost))
-            if phase_hints:
-                run.solver.set_phases(model)
         while len(parts) > 1:
             sizes = [(label, len(st.soft_ids)) for label, (st, _) in parts.items()]
             la, lb_ = select_partitions(sizes)
@@ -484,25 +442,21 @@ def solve_partitioned(
             parts[min(la, lb_)] = (merged, names)
             cost, model = engine.solve_block(merged)
             run.stats.partition_costs.append((names, cost))
-            if phase_hints:
-                run.solver.set_phases(model)
         return _result(run, Status.OPTIMUM, cost, model, cost, t0)
     except SolverTimeout:
-        lb = sum(st.lb for st, _ in parts.values()) if parts else 0
-        return _timeout_result(run, lb, t0)
+        return _timeout_result(run, sum(st.lb for st, _ in parts.values()), t0)
 
 
 def solve_instance(
     pinst: PartitionedInstance,
     alg: AlgorithmKind | str,
     budget: float | None = None,
-    phase_hints: bool = False,
 ) -> SolveResult:
     """Dispatch: lsu always solves the whole instance (labels ignored);
     core-guided algorithms go through the partition driver."""
     alg = AlgorithmKind(alg)
     if alg == AlgorithmKind.LSU:
         res = solve_lsu(pinst.base, budget)
-        res.stats.n_partitions = len(pinst.blocks()) if pinst.base.soft else 1
+        res.stats.n_partitions = len(pinst.blocks()) or 1
         return res
-    return solve_partitioned(pinst, alg, budget, phase_hints=phase_hints)
+    return solve_partitioned(pinst, alg, budget)

@@ -34,11 +34,6 @@ class SolveOutcome:
     model: list | None = None
     core: frozenset | None = None
 
-    def value(self, v: int) -> bool:
-        if not self.sat:
-            raise RuntimeError("no model: last outcome was UNSAT")
-        return self.model[v]
-
 
 def _luby(y: int, x: int) -> int:
     size, seq = 1, 0
@@ -533,10 +528,7 @@ class Solver:
         if not self.ok:
             out = SolveOutcome(sat=False, core=frozenset())
         else:
-            try:
-                out = self._search(codes)
-            finally:
-                pass
+            out = self._search(codes)
         self._cancel_until(0)
         self.last_outcome = out
         return out
@@ -546,21 +538,3 @@ class Solver:
         if self.last_outcome is None or not self.last_outcome.sat:
             raise RuntimeError("no model available: last solve was not SAT")
         return self.last_outcome.model[v]
-
-    def set_phases(self, model) -> None:
-        """Seed branching polarities from a model (bool list by variable)."""
-        for v in range(1, min(len(model), self.n_vars + 1)):
-            self.phase[v] = bool(model[v])
-
-    def minimize_core(self, core) -> frozenset:
-        """Deletion-based core shrink: re-solves without each literal in turn."""
-        cur = sorted(core, key=abs)
-        i = 0
-        while i < len(cur):
-            cand = cur[:i] + cur[i + 1 :]
-            out = self.solve(cand)
-            if out.sat:
-                i += 1
-            else:
-                cur = [l for l in cand if l in out.core]
-        return frozenset(cur)

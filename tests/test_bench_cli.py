@@ -299,6 +299,20 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     assert "oll" in out
 
 
+def test_cli_bench_rejects_malformed_scatter_before_running(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "one.pwcnf").write_text(TWO_TRIANGLES_PWCNF)
+    out_dir = tmp_path / "r"
+    code, _, err = run_cli(
+        capsys, "bench", "--corpus", str(corpus), "--algs", "oll", "--strategies", "none",
+        "--jobs", "1", "--out-dir", str(out_dir), "--scatter", "oll-none/oll:user",
+    )
+    assert code == 2
+    assert "bad scatter spec" in err
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_cli_bench_rejects_unknown_algorithm(tmp_path, capsys):
     corpus = tmp_path / "c"
     corpus.mkdir()

@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from partmax.cnf import (
     TAUTOLOGY,
@@ -9,18 +7,8 @@ from partmax.cnf import (
     SoftClause,
     VarAllocator,
     make_clause,
-    neg,
     resolve,
-    var_of,
 )
-
-literals = st.integers(min_value=-50, max_value=50).filter(lambda x: x != 0)
-
-
-@given(literals)
-def test_negation_is_an_involution(lit):
-    assert neg(neg(lit)) == lit
-    assert var_of(lit) == var_of(neg(lit))
 
 
 def test_make_clause_dedupes_preserving_order():

@@ -99,9 +99,10 @@ def test_wbo_complementary_units():
     assert res.cost == 1
 
 
-def test_lsu_no_softs_costs_zero():
+@pytest.mark.parametrize("alg", list(PLAIN_SOLVERS))
+def test_no_softs_costs_zero(alg):
     inst = MaxSatInstance(2, hard=[(1, 2)], soft=[], top=1)
-    res = solve_lsu(inst)
+    res = PLAIN_SOLVERS[alg](inst)
     assert res.status == Status.OPTIMUM
     assert res.cost == 0
     assert inst.hard_satisfied(res.model)
@@ -237,20 +238,6 @@ def test_partitioned_timeout_reports_lower_bound():
     res = solve_partitioned(pinst, "wbo", budget=0.0)
     assert res.status == Status.TIMEOUT
     assert res.lower_bound <= 2
-
-
-def test_phase_hints_do_not_change_the_optimum():
-    pinst = parse_pwcnf(TWO_TRIANGLES_PWCNF)
-    res = solve_partitioned(pinst, "msu3", phase_hints=True)
-    assert res.cost == 2
-
-
-def test_minimized_cores_reach_the_same_optimum():
-    inst = two_triangles_instance()
-    for alg in (solve_msu3, solve_oll, solve_wbo):
-        res = alg(inst, minimize_cores=True)
-        assert res.cost == 2
-        assert_valid_result(inst, res)
 
 
 def test_empty_soft_clause_always_pays():

@@ -138,17 +138,6 @@ def test_core_reverifies_unsat_under_dpll():
     assert found > 10
 
 
-def test_minimize_core_is_still_a_core():
-    # v1..v3 free; the only conflict is between assumptions -4 and 4-implied
-    s = make_solver(5, [(4,), (5, -4)])
-    out = s.solve(assumptions=[-5, 1, 2])
-    assert not out.sat
-    small = s.minimize_core(out.core)
-    assert small <= out.core
-    assert -5 in small
-    assert not dpll_satisfiable([(4,), (5, -4)], assumptions=sorted(small, key=abs))
-
-
 def test_determinism_same_input_same_statistics():
     def run():
         rng = random.Random(3)
