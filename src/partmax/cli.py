@@ -178,17 +178,28 @@ def cmd_bench(args) -> int:
         if a not in ALGS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return 2
+    for s in strategies:
+        try:
+            bench_mod.parse_strategy(s)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    configs = {(a, s) for a in algs for s in strategies}
     scatters = []
     for spec in args.scatter or []:
         try:
             a, b = spec.split("/")
-            cfg_a = tuple(a.split(":"))
-            cfg_b = tuple(b.split(":"))
+            cfg_a = tuple(a.split(":", 1))
+            cfg_b = tuple(b.split(":", 1))
             if len(cfg_a) != 2 or len(cfg_b) != 2:
                 raise ValueError
         except ValueError:
             print(f"error: bad scatter spec {spec!r}; use alg:strategy/alg:strategy", file=sys.stderr)
             return 2
+        for cfg in (cfg_a, cfg_b):
+            if cfg not in configs:
+                print(f"error: scatter side {':'.join(cfg)!r} is not in --algs x --strategies", file=sys.stderr)
+                return 2
         scatters.append((cfg_a, cfg_b))
     corpus = sorted(
         os.path.join(args.corpus, f)

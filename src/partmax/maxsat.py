@@ -1,22 +1,22 @@
 """MaxSAT algorithms and the partition-merge driver.
 
-Four algorithms over one shared incremental SAT solver per run:
+lsu is a linear search on a decreasing upper bound over the whole instance.
+msu3, oll and wbo are core-guided and share one driver: it solves every
+soft-clause block, then repeatedly merges the two smallest blocks and
+re-solves the union from the sum of the parts' proven bounds; solving
+without partitions is one block. One SAT loop, `_solve_block`, serves every
+block of every core-guided algorithm; an engine supplies only what differs:
+``new_state(soft_ids)`` and ``merge(a, b)`` build its carried state,
+``assumptions(state, lb)`` gives the literals to assume at bound lb, and
+``relax(state, core, lb)`` relaxes a core and returns the bound increase.
 
-- lsu: linear search on a decreasing upper bound (not partition-aware);
-- msu3: core-guided with a single weighted counting structure whose input
-  set grows with each core;
-- oll: core-guided with one counting structure per core and weight-aware
-  assumption bookkeeping;
-- wbo: core-guided with per-core clause copies, weight splitting and
-  at-most-one constraints over the fresh relaxation variables.
+- msu3: one weighted counting structure whose inputs grow with each core;
+- oll: one counting structure per core, weight-aware assumptions;
+- wbo: per-core clause copies, weight splitting and an at-most-one
+  constraint over the fresh relaxation variables.
 
-The three core-guided algorithms share one driver, the partition-merge
-loop: it solves each soft-clause block independently, then repeatedly
-merges the two smallest blocks and re-solves the union starting from the
-sum of the parts' proven bounds. Solving without partitions is the same
-loop over a single block. Soft clauses enter the solver once, guarded;
-cores are reported over the guard literals, so all carried state
-(relaxation variables, counting structures, bounds) survives merges.
+Soft clauses enter the solver once, guarded; cores are reported over the
+guard literals, so all carried state survives merges.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ class Status(str, Enum):
 
 @dataclass
 class SolveStats:
+    """bound_trace holds upper bounds for lsu, one per better model; for the
+    core-guided algorithms, one instance-wide lower bound per core: the sum
+    of the proven bounds of all blocks, which ends at the cost."""
+
     sat_calls: int = 0
     cores: int = 0
     time_s: float = 0.0
@@ -63,11 +67,11 @@ class SolveResult:
 
 
 class _Run:
-    """Shared solver session: hard clauses plus one guarded copy of every
-    soft clause; tracks the best model seen across all SAT calls."""
+    """Shared solver session over a validated instance: hard clauses plus
+    one guarded copy of every soft clause; tracks the best model seen
+    across all SAT calls."""
 
     def __init__(self, inst: MaxSatInstance, budget: float | None = None):
-        inst.validate()
         self.inst = inst
         deadline = None if budget is None else time.monotonic() + budget
         self.solver = Solver(deadline=deadline)
@@ -84,6 +88,7 @@ class _Run:
         self.stats = SolveStats()
         self.best_cost: int | None = None
         self.best_model = None
+        self.lb = 0  # sum of the proven bounds of all blocks
 
     def emit(self, cl) -> None:
         self.solver.reserve(self.alloc.top)
@@ -107,223 +112,187 @@ class _Run:
         )
 
 
-def _check_block_optimum(run: _Run, soft_ids, model, lb: int) -> None:
-    got = run.block_cost(model, soft_ids)
-    if got != lb:
-        raise RuntimeError(f"internal error: block cost {got} != proven bound {lb}")
+@dataclass
+class _Block:
+    """A block of soft clauses: their ids, the engine's carried state and
+    the block's proven lower bound."""
+
+    soft_ids: list
+    state: object
+    lb: int = 0
+
+
+def _solve_block(run: _Run, engine, blk: _Block):
+    """The core-guided loop: relax cores and raise the bound until the
+    engine's assumptions are satisfiable. Returns the block's (cost, model)."""
+    while True:
+        out = run.sat(engine.assumptions(blk.state, blk.lb))
+        if out.sat:
+            model = out.model[: run.inst.n_vars + 1]
+            got = run.block_cost(model, blk.soft_ids)
+            if got != blk.lb:
+                raise RuntimeError(f"internal error: block cost {got} != proven bound {blk.lb}")
+            return blk.lb, model
+        if not out.core:
+            raise RuntimeError("unexpected empty core after a satisfiable hard check")
+        run.stats.cores += 1
+        delta = engine.relax(blk.state, out.core, blk.lb)
+        blk.lb += delta
+        run.lb += delta
+        run.stats.bound_trace.append(run.lb)
 
 
 # --------------------------------------------------------------------- msu3
 
 
-@dataclass
-class _Msu3State:
-    soft_ids: list
-    unrelaxed: list
-    tot: GenTotalizer
-    lb: int = 0
-
-
 class _Msu3Engine:
-    """One growing weighted counting structure; the bound rises with each core."""
+    """State: (sorted unrelaxed soft ids, GenTotalizer over the relaxed
+    ones). A core moves its softs into the totalizer and raises the bound by
+    their least weight, or to the next reachable sum if that is nearer."""
 
     def __init__(self, run: _Run):
         self.run = run
 
-    def new_state(self, soft_ids) -> _Msu3State:
-        return _Msu3State(
-            soft_ids=list(soft_ids),
-            unrelaxed=sorted(soft_ids),
-            tot=GenTotalizer(self.run.alloc, self.run.emit),
-        )
+    def new_state(self, soft_ids):
+        return sorted(soft_ids), GenTotalizer(self.run.alloc, self.run.emit)
 
-    def merge(self, a: _Msu3State, b: _Msu3State) -> _Msu3State:
-        a.tot.merge_from(b.tot)
-        return _Msu3State(
-            soft_ids=a.soft_ids + b.soft_ids,
-            unrelaxed=sorted(a.unrelaxed + b.unrelaxed),
-            tot=a.tot,
-            lb=a.lb + b.lb,
-        )
+    def merge(self, a, b):
+        (unrelaxed_a, tot), (unrelaxed_b, tot_b) = a, b
+        tot.merge_from(tot_b)
+        return sorted(unrelaxed_a + unrelaxed_b), tot
 
-    def solve_block(self, st: _Msu3State):
+    def assumptions(self, state, lb):
+        unrelaxed, tot = state
+        return [-self.run.guards[i] for i in unrelaxed] + list(tot.bound_assumptions(lb))
+
+    def relax(self, state, core, lb) -> int:
+        unrelaxed, tot = state
         run = self.run
         soft = run.inst.soft
-        while True:
-            bound_lits = st.tot.bound_assumptions(st.lb)
-            assumps = [-run.guards[i] for i in st.unrelaxed] + list(bound_lits)
-            out = run.sat(assumps)
-            if out.sat:
-                _check_block_optimum(run, st.soft_ids, out.model, st.lb)
-                return st.lb, out.model[: run.inst.n_vars + 1]
-            core = out.core
-            if not core:
-                raise RuntimeError("unexpected empty core after a satisfiable hard check")
-            run.stats.cores += 1
-            core_guards = sorted(i for i in st.unrelaxed if -run.guards[i] in core)
-            bound_hit = any(l in core for l in bound_lits)
-            if core_guards:
-                minw = min(soft[i].weight for i in core_guards)
-                if bound_hit:
-                    nxt = st.tot.next_weight_above(st.lb)
-                    delta = min(minw, nxt - st.lb)
-                else:
-                    delta = minw
-            else:
-                nxt = st.tot.next_weight_above(st.lb)
-                delta = nxt - st.lb
-            st.tot.add_inputs([(run.guards[i], soft[i].weight) for i in core_guards])
-            gone = set(core_guards)
-            st.unrelaxed = [i for i in st.unrelaxed if i not in gone]
-            st.lb += delta
-            run.stats.bound_trace.append(st.lb)
+        core_guards = sorted(i for i in unrelaxed if -run.guards[i] in core)
+        # the core is a nonempty subset of the assumptions: guards of
+        # unrelaxed softs, then the totalizer's bound literals
+        steps = [soft[i].weight for i in core_guards]
+        if len(core) > len(core_guards):
+            steps.append(tot.next_weight_above(lb) - lb)
+        delta = min(steps)
+        tot.add_inputs([(run.guards[i], soft[i].weight) for i in core_guards])
+        gone = set(core_guards)
+        unrelaxed[:] = [i for i in unrelaxed if i not in gone]
+        return delta
 
 
 # ---------------------------------------------------------------------- oll
 
 
-@dataclass
-class _OllState:
-    soft_ids: list
-    pool: dict  # assumption literal -> residual weight
-    meta: dict  # assumption literal -> ("soft", id) | ("card", Totalizer, j)
-    lb: int = 0
-
-
 class _OllEngine:
-    """One counting structure per core; obligations carry residual weights,
+    """State: (pool, meta), assumption literal -> residual weight and ->
+    ("soft", id) | ("card", Totalizer, j). A core costs its least weight;
     ladder assumptions pay for each additional violation within a core."""
 
     def __init__(self, run: _Run):
         self.run = run
 
-    def new_state(self, soft_ids) -> _OllState:
+    def new_state(self, soft_ids):
         pool, meta = {}, {}
         for i in sorted(soft_ids):
             lit = -self.run.guards[i]
             pool[lit] = self.run.inst.soft[i].weight
             meta[lit] = ("soft", i)
-        return _OllState(soft_ids=list(soft_ids), pool=pool, meta=meta)
+        return pool, meta
 
-    def merge(self, a: _OllState, b: _OllState) -> _OllState:
-        return _OllState(
-            soft_ids=a.soft_ids + b.soft_ids,
-            pool={**a.pool, **b.pool},
-            meta={**a.meta, **b.meta},
-            lb=a.lb + b.lb,
-        )
+    def merge(self, a, b):
+        (pool_a, meta_a), (pool_b, meta_b) = a, b
+        return {**pool_a, **pool_b}, {**meta_a, **meta_b}
 
-    def solve_block(self, st: _OllState):
+    def assumptions(self, state, lb):
+        pool, _ = state
+        return sorted(pool)
+
+    def relax(self, state, core, lb) -> int:
+        pool, meta = state
         run = self.run
-        while True:
-            out = run.sat(sorted(st.pool))
-            if out.sat:
-                _check_block_optimum(run, st.soft_ids, out.model, st.lb)
-                return st.lb, out.model[: run.inst.n_vars + 1]
-            core = sorted(out.core)
-            if not core:
-                raise RuntimeError("unexpected empty core after a satisfiable hard check")
-            run.stats.cores += 1
-            w_star = min(st.pool[l] for l in core)
-            st.lb += w_star
-            run.stats.bound_trace.append(st.lb)
-            if len(core) == 1 and st.meta[core[0]][0] == "soft":
-                # permanently violated soft: harden the entailment and drop it
-                run.emit((-core[0],))
-                del st.pool[core[0]]
-                del st.meta[core[0]]
-                continue
-            rels = []
-            for l in core:
-                kind = st.meta[l]
-                st.pool[l] -= w_star
-                if st.pool[l] == 0:
-                    del st.pool[l]
-                    del st.meta[l]
-                if kind[0] == "card":
-                    t, j = kind[1], kind[2]
-                    if j + 1 <= t.size:
-                        nxt = -t.output(j + 1)
-                        if nxt in st.pool:
-                            st.pool[nxt] += w_star
-                        else:
-                            st.pool[nxt] = w_star
-                            st.meta[nxt] = ("card", t, j + 1)
-                rels.append(-l)
-            if len(rels) > 1:
-                t = Totalizer(rels, run.alloc, run.emit)
-                lit = -t.output(2)
-                if lit in st.pool:
-                    st.pool[lit] += w_star
-                else:
-                    st.pool[lit] = w_star
-                    st.meta[lit] = ("card", t, 2)
+        core = sorted(core)
+        w_star = min(pool[l] for l in core)
+        if len(core) == 1 and meta[core[0]][0] == "soft":
+            # permanently violated soft: harden the entailment and drop it
+            run.emit((-core[0],))
+            del pool[core[0]]
+            del meta[core[0]]
+            return w_star
+        rels = []
+        for l in core:
+            kind = meta[l]
+            pool[l] -= w_star
+            if pool[l] == 0:
+                del pool[l]
+                del meta[l]
+            if kind[0] == "card":
+                t, j = kind[1], kind[2]
+                if j + 1 <= t.size:
+                    nxt = -t.output(j + 1)
+                    if nxt in pool:
+                        pool[nxt] += w_star
+                    else:
+                        pool[nxt] = w_star
+                        meta[nxt] = ("card", t, j + 1)
+            rels.append(-l)
+        if len(rels) > 1:
+            t = Totalizer(rels, run.alloc, run.emit)
+            lit = -t.output(2)
+            if lit in pool:
+                pool[lit] += w_star
+            else:
+                pool[lit] = w_star
+                meta[lit] = ("card", t, 2)
+        return w_star
 
 
 # ---------------------------------------------------------------------- wbo
 
 
-@dataclass
-class _WboState:
-    soft_ids: list
-    pool: dict  # assumption literal -> (clause lits, residual weight)
-    lb: int = 0
-
-
 class _WboEngine:
-    """Per-core weight splitting with fresh relaxation variables and an
-    at-most-one constraint over them (sequential-counter encoding)."""
+    """State: assumption literal -> (clause lits, residual weight). A core
+    costs its least weight w*, split off into relaxable clause copies."""
 
     def __init__(self, run: _Run):
         self.run = run
 
-    def new_state(self, soft_ids) -> _WboState:
+    def new_state(self, soft_ids):
         pool = {}
         for i in sorted(soft_ids):
             pool[-self.run.guards[i]] = (tuple(self.run.inst.soft[i].lits), self.run.inst.soft[i].weight)
-        return _WboState(soft_ids=list(soft_ids), pool=pool)
+        return pool
 
-    def merge(self, a: _WboState, b: _WboState) -> _WboState:
-        return _WboState(
-            soft_ids=a.soft_ids + b.soft_ids,
-            pool={**a.pool, **b.pool},
-            lb=a.lb + b.lb,
-        )
+    def merge(self, a, b):
+        return {**a, **b}
 
-    def solve_block(self, st: _WboState):
+    def assumptions(self, pool, lb):
+        return sorted(pool)
+
+    def relax(self, pool, core, lb) -> int:
         run = self.run
-        while True:
-            out = run.sat(sorted(st.pool))
-            if out.sat:
-                _check_block_optimum(run, st.soft_ids, out.model, st.lb)
-                return st.lb, out.model[: run.inst.n_vars + 1]
-            core = sorted(out.core)
-            if not core:
-                raise RuntimeError("unexpected empty core after a satisfiable hard check")
-            run.stats.cores += 1
-            w_star = min(st.pool[l][1] for l in core)
-            if len(core) == 1:
-                # the clause is violated in every model: pay its full weight
-                lits, w = st.pool.pop(core[0])
-                st.lb += w
-                run.stats.bound_trace.append(st.lb)
-                continue
-            st.lb += w_star
-            run.stats.bound_trace.append(st.lb)
-            relax = []
-            for l in core:
-                lits, w = st.pool[l]
-                r = run.alloc.fresh()
-                b = run.alloc.fresh()
-                run.emit(lits + (r, b))
-                st.pool[-b] = (lits + (r,), w_star)
-                if w == w_star:
-                    del st.pool[l]
-                else:
-                    st.pool[l] = (lits, w - w_star)
-                relax.append(r)
-            for cl in encode_at_most_k(relax, 1, run.alloc):
-                run.emit(cl)
+        core = sorted(core)
+        w_star = min(pool[l][1] for l in core)
+        if len(core) == 1:
+            # the clause is violated in every model: pay its full weight
+            del pool[core[0]]
+            return w_star
+        relax = []
+        for l in core:
+            lits, w = pool[l]
+            r = run.alloc.fresh()
+            b = run.alloc.fresh()
+            run.emit(lits + (r, b))
+            pool[-b] = (lits + (r,), w_star)
+            if w == w_star:
+                del pool[l]
+            else:
+                pool[l] = (lits, w - w_star)
+            relax.append(r)
+        for cl in encode_at_most_k(relax, 1, run.alloc):
+            run.emit(cl)
+        return w_star
 
 
 _ENGINES = {
@@ -341,13 +310,10 @@ def _result(run: _Run, status: Status, cost, model, lb: int, t0: float) -> Solve
     return SolveResult(status=status, cost=cost, model=model, lower_bound=lb, stats=run.stats)
 
 
-def _timeout_result(run: _Run, lb: int, t0: float) -> SolveResult:
-    return _result(run, Status.TIMEOUT, run.best_cost, run.best_model, lb, t0)
-
-
 def solve_lsu(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
     """Linear search: relax all softs, tighten the weighted upper bound
     until UNSAT; the last model is optimal."""
+    inst.validate()
     t0 = time.monotonic()
     run = _Run(inst, budget)
     try:
@@ -376,7 +342,7 @@ def solve_lsu(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
             if run.best_cost == 0:
                 return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
     except SolverTimeout:
-        return _timeout_result(run, 0, t0)
+        return _result(run, Status.TIMEOUT, run.best_cost, run.best_model, 0, t0)
 
 
 def solve_msu3(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
@@ -417,34 +383,33 @@ def solve_partitioned(
     if alg == AlgorithmKind.LSU:
         raise ValueError("lsu is not core-driven; partitioning does not apply")
     pinst.validate()
-    inst = pinst.base
     t0 = time.monotonic()
-    run = _Run(inst, budget)
+    run = _Run(pinst.base, budget)
     engine = _ENGINES[alg](run)
     blocks = pinst.blocks() or {1: []}
     run.stats.n_partitions = len(blocks)
-    parts: dict = {}
+    parts: dict = {}  # label -> (_Block, labels of the blocks merged into it)
     try:
         if not run.sat(()).sat:
             return _result(run, Status.HARD_UNSAT, None, None, 0, t0)
         for label, ids in blocks.items():
-            st = engine.new_state(ids)
-            parts[label] = (st, (label,))
-            cost, model = engine.solve_block(st)
+            blk = _Block(list(ids), engine.new_state(ids))
+            parts[label] = (blk, (label,))
+            cost, model = _solve_block(run, engine, blk)
             run.stats.partition_costs.append(((label,), cost))
         while len(parts) > 1:
-            sizes = [(label, len(st.soft_ids)) for label, (st, _) in parts.items()]
+            sizes = [(label, len(blk.soft_ids)) for label, (blk, _) in parts.items()]
             la, lb_ = select_partitions(sizes)
-            (sa, names_a) = parts.pop(la)
-            (sb, names_b) = parts.pop(lb_)
-            merged = engine.merge(sa, sb)
+            (a, names_a) = parts.pop(la)
+            (b, names_b) = parts.pop(lb_)
+            merged = _Block(a.soft_ids + b.soft_ids, engine.merge(a.state, b.state), a.lb + b.lb)
             names = tuple(sorted(names_a + names_b))
             parts[min(la, lb_)] = (merged, names)
-            cost, model = engine.solve_block(merged)
+            cost, model = _solve_block(run, engine, merged)
             run.stats.partition_costs.append((names, cost))
         return _result(run, Status.OPTIMUM, cost, model, cost, t0)
     except SolverTimeout:
-        return _timeout_result(run, sum(st.lb for st, _ in parts.values()), t0)
+        return _result(run, Status.TIMEOUT, run.best_cost, run.best_model, run.lb, t0)
 
 
 def solve_instance(

@@ -323,3 +323,43 @@ def test_cli_bench_rejects_unknown_algorithm(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown algorithm" in err
+
+
+def _bench_one_instance(tmp_path, capsys, *argv):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "one.pwcnf").write_text(TWO_TRIANGLES_PWCNF)
+    out_dir = tmp_path / "r"
+    code, _, err = run_cli(
+        capsys, "bench", "--corpus", str(corpus), "--jobs", "1", "--out-dir", str(out_dir), *argv
+    )
+    return code, err, out_dir
+
+
+def test_cli_bench_rejects_unknown_strategy_before_running(tmp_path, capsys):
+    code, err, out_dir = _bench_one_instance(
+        tmp_path, capsys, "--algs", "oll", "--strategies", "none,vgi"
+    )
+    assert code == 2
+    assert "unknown strategy 'vgi'" in err
+    assert not (out_dir / "results.csv").exists()
+
+
+def test_cli_bench_scatter_names_random_strategy(tmp_path, capsys):
+    code, _, out_dir = _bench_one_instance(
+        tmp_path, capsys, "--algs", "oll", "--strategies", "none,random:2",
+        "--scatter", "oll:random:2/oll:none",
+    )
+    assert code == 0
+    rows = list(csv.reader((out_dir / "scatter_oll-random-2_vs_oll-none.csv").open()))
+    assert [r[0] for r in rows] == ["instance", "one.pwcnf"]
+
+
+def test_cli_bench_rejects_scatter_outside_matrix_before_running(tmp_path, capsys):
+    code, err, out_dir = _bench_one_instance(
+        tmp_path, capsys, "--algs", "oll", "--strategies", "none",
+        "--scatter", "oll:vig/oll:none",
+    )
+    assert code == 2
+    assert "'oll:vig' is not in" in err
+    assert not (out_dir / "results.csv").exists()

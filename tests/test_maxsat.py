@@ -5,6 +5,7 @@ import pytest
 from conftest import TWO_TRIANGLES_PWCNF, assert_valid_result, two_triangles_instance
 from oracles import brute_force_maxsat
 from partmax.cnf import MaxSatInstance, PartitionedInstance, SoftClause
+from partmax.encoders import SchemeChoice, SeatingGenConfig, encode_seating, gen_seating
 from partmax.formats import parse_pwcnf
 from partmax.graphs import partition_by_graph, random_partition
 from partmax.maxsat import (
@@ -135,12 +136,33 @@ def test_lsu_upper_bound_strictly_decreases():
 
 def test_core_guided_lower_bound_never_decreases():
     rng = random.Random(3)
-    for _ in range(10):
+    pinsts = [parse_pwcnf(TWO_TRIANGLES_PWCNF)]
+    for seed in range(10):
         inst = _random_instance(rng)
+        pinsts.append(PartitionedInstance.single_block(inst))
+        pinsts += [random_partition(inst, k, seed=seed) for k in (2, 3)]
+    # user partitions whose later blocks start below the earlier blocks' bounds
+    cfg = SeatingGenConfig(
+        min_persons=12, max_persons=12, min_tables=3, max_tables=3,
+        min_tag_universe=4, max_tag_universe=5,
+        min_tags_per_person=1, max_tags_per_person=2,
+    )
+    pinsts.append(encode_seating(gen_seating(cfg, 7002), SchemeChoice.SEAT_TABLES))
+    for pinst in pinsts:
         for alg in CORE_ALGS:
-            res = PLAIN_SOLVERS[alg](inst)
+            res = solve_partitioned(pinst, alg)
             trace = res.stats.bound_trace
             assert all(b >= a for a, b in zip(trace, trace[1:]))
+            assert len(trace) == res.stats.cores
+            if res.status == Status.OPTIMUM:
+                assert (trace or [0])[-1] == res.cost == res.lower_bound
+
+
+@pytest.mark.parametrize("alg", list(PLAIN_SOLVERS))
+def test_soft_literal_out_of_range_is_rejected(alg):
+    inst = MaxSatInstance(2, hard=[(1, 2)], soft=[SoftClause((1,), 1), SoftClause((3,), 1)])
+    with pytest.raises(ValueError):
+        PLAIN_SOLVERS[alg](inst)
 
 
 @pytest.mark.parametrize("alg", CORE_ALGS)
