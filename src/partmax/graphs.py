@@ -10,8 +10,8 @@ Three representations are built from all clauses, hard and soft:
   joined with weight 1/|resolvent|.
 
 Communities found by greedy modularity maximization over these graphs are
-then mapped to soft-clause partition labels. Edge weights accumulate as
-exact fractions so graph construction is independent of clause order.
+then mapped to soft-clause partition labels. Edge weights are integers over
+the common denominator `scale`; exact sums do not depend on clause order.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .cnf import TAUTOLOGY, MaxSatInstance, PartitionedInstance, resolve
 
@@ -34,9 +33,11 @@ class ResolutionGraphTooLarge(Exception):
 
 @dataclass
 class WeightedGraph:
-    """Undirected weighted graph; nodes are (kind, index) tuples."""
+    """Undirected weighted graph; nodes are (kind, index) tuples, and
+    adj[u][v] is a positive integer: edge (u, v) weighs adj[u][v] / scale."""
 
     adj: dict = field(default_factory=dict)
+    scale: int = 1
 
     def add_node(self, node) -> None:
         self.adj.setdefault(node, {})
@@ -46,10 +47,9 @@ class WeightedGraph:
             raise ValueError("self-loops are not allowed")
         if w <= 0:
             raise ValueError("edge weights must be positive")
-        self.adj.setdefault(u, {})
-        self.adj.setdefault(v, {})
-        self.adj[u][v] = self.adj[u].get(v, Fraction(0)) + w
-        self.adj[v][u] = self.adj[v].get(u, Fraction(0)) + w
+        nu, nv = self.adj.setdefault(u, {}), self.adj.setdefault(v, {})
+        nu[v] = nu.get(v, 0) + w
+        nv[u] = nv.get(u, 0) + w
 
     def nodes(self):
         return list(self.adj)
@@ -62,8 +62,8 @@ class WeightedGraph:
                     out.append((u, v, w))
         return out
 
-    def total_weight(self):
-        return sum(w for _, _, w in self.edges())
+    def total_weight(self) -> float:
+        return sum(w for _, _, w in self.edges()) / self.scale
 
 
 def _all_clauses(inst: MaxSatInstance):
@@ -71,15 +71,15 @@ def _all_clauses(inst: MaxSatInstance):
 
 
 def build_vig(inst: MaxSatInstance) -> WeightedGraph:
-    g = WeightedGraph()
+    var_sets = [sorted({abs(l) for l in cl}) for cl in _all_clauses(inst)]
+    g = WeightedGraph(scale=lcm(*{comb(len(vs), 2) for vs in var_sets if len(vs) > 1}))
     for v in range(1, inst.n_vars + 1):
         g.add_node((VAR_NODE, v))
-    for cl in _all_clauses(inst):
-        vs = sorted({abs(l) for l in cl})
+    for vs in var_sets:
         n = len(vs)
         if n < 2:
             continue
-        w = Fraction(1, comb(n, 2))
+        w = g.scale // comb(n, 2)
         for i in range(n):
             for j in range(i + 1, n):
                 g.add_edge((VAR_NODE, vs[i]), (VAR_NODE, vs[j]), w)
@@ -87,14 +87,15 @@ def build_vig(inst: MaxSatInstance) -> WeightedGraph:
 
 
 def build_cvig(inst: MaxSatInstance) -> WeightedGraph:
-    g = WeightedGraph()
+    clauses = _all_clauses(inst)
+    g = WeightedGraph(scale=lcm(*{len(cl) for cl in clauses if cl}))
     for v in range(1, inst.n_vars + 1):
         g.add_node((VAR_NODE, v))
-    for ci, cl in enumerate(_all_clauses(inst)):
+    for ci, cl in enumerate(clauses):
         g.add_node((CLAUSE_NODE, ci))
         if not cl:
             continue
-        w = Fraction(1, len(cl))
+        w = g.scale // len(cl)
         for v in {abs(l) for l in cl}:
             g.add_edge((VAR_NODE, v), (CLAUSE_NODE, ci), w)
     return g
@@ -104,7 +105,9 @@ def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGra
     """Resolution graph. Examines only clause pairs sharing a complementary
     literal; raises ResolutionGraphTooLarge past max_pairs candidate pairs."""
     clauses = _all_clauses(inst)
-    g = WeightedGraph()
+    # a resolvent keeps at most 2 * longest - 2 literals
+    longest = max((len(cl) for cl in clauses), default=0)
+    g = WeightedGraph(scale=lcm(*range(1, 2 * longest - 1)))
     for ci in range(len(clauses)):
         g.add_node((CLAUSE_NODE, ci))
     pos: dict = {}
@@ -131,16 +134,14 @@ def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGra
                     continue
                 # contradictory units resolve to the empty clause; clamp the
                 # denominator so the maximally-related pair keeps an edge
-                w = Fraction(1, max(len(r), 1))
+                w = g.scale // max(len(r), 1)
                 g.add_edge((CLAUSE_NODE, key[0]), (CLAUSE_NODE, key[1]), w)
     return g
 
 
 def dump_edges(g: WeightedGraph) -> str:
     """Debug edge list: one "node node weight" line per edge."""
-    lines = []
-    for u, v, w in sorted(g.edges()):
-        lines.append(f"{u[0]}{u[1]} {v[0]}{v[1]} {float(w):g}")
+    lines = [f"{u[0]}{u[1]} {v[0]}{v[1]} {w / g.scale:g}" for u, v, w in sorted(g.edges())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -158,20 +159,19 @@ class CommunityAssignment:
 
 
 def modularity(g: WeightedGraph, communities: dict) -> float:
-    m = float(g.total_weight())
-    if m == 0:
-        return 0.0
-    internal: dict = {}
+    """Q of a node -> community map from exact integer sums (scale cancels)."""
+    internal: dict = {}  # twice each community's internal weight
     degree: dict = {}
-    for u, v, w in g.edges():
-        if communities[u] == communities[v]:
-            internal[communities[u]] = internal.get(communities[u], 0.0) + float(w)
     for u, nbrs in g.adj.items():
-        degree[communities[u]] = degree.get(communities[u], 0.0) + float(sum(nbrs.values()))
-    q = 0.0
-    for c in set(communities.values()):
-        q += internal.get(c, 0.0) / m - (degree.get(c, 0.0) / (2 * m)) ** 2
-    return q
+        cu = communities[u]
+        for v, w in nbrs.items():
+            degree[cu] = degree.get(cu, 0) + w
+            if communities[v] == cu:
+                internal[cu] = internal.get(cu, 0) + w
+    m2 = sum(degree.values())
+    if m2 == 0:
+        return 0.0
+    return sum(internal.get(c, 0) / m2 - (d / m2) ** 2 for c, d in degree.items())
 
 
 def _one_level(adj, degs, m2, order):
@@ -209,17 +209,19 @@ def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
 
     Deterministic for a fixed seed: nodes are visited in ascending order
     shuffled by the seed. A graph with zero total edge weight puts every
-    node in its own community with Q = 0.
+    node in its own community with Q = 0. Each phase's Q comes from the
+    community totals of its aggregation pass (Blondel et al. 2008).
     """
     nodes = sorted(g.adj)
     if not nodes:
         raise ValueError("cannot detect communities of an empty graph")
     index = {node: i for i, node in enumerate(nodes)}
     adj = [dict() for _ in nodes]
-    for u, v, w in g.edges():
-        adj[index[u]][index[v]] = float(w)
-        adj[index[v]][index[u]] = float(w)
-    m2 = 2.0 * float(g.total_weight())
+    for u, nbrs in g.adj.items():
+        for v, w in nbrs.items():
+            if u < v:
+                adj[index[u]][index[v]] = adj[index[v]][index[u]] = w / g.scale
+    m2 = 2.0 * g.total_weight()
     if m2 == 0:
         communities = {node: i for i, node in enumerate(nodes)}
         return CommunityAssignment(communities, 0.0, (0.0,))
@@ -237,16 +239,14 @@ def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
         relabel = {c: k for k, c in enumerate(labels)}
         com = [relabel[c] for c in com]
         assign = [com[assign[i]] for i in range(len(assign))]
-        communities = {node: assign[i] for i, node in enumerate(nodes)}
-        phase_q.append(modularity(g, communities))
-        if not moved or len(labels) == n:
-            break
         # aggregate communities into supernodes
         new_loops = [0.0] * len(labels)
+        tot = [0.0] * len(labels)
         new_adj = [dict() for _ in labels]
         for i in range(n):
             ci = com[i]
             new_loops[ci] += loops[i]
+            tot[ci] += degs[i]
             for j, w in adj[i].items():
                 cj = com[j]
                 if ci == cj:
@@ -254,6 +254,9 @@ def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
                         new_loops[ci] += w
                 else:
                     new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+        phase_q.append(sum(2 * lc / m2 - (t / m2) ** 2 for lc, t in zip(new_loops, tot)))
+        if not moved or len(labels) == n:
+            break
         adj, loops = new_adj, new_loops
     # contiguous ids by first appearance over the sorted node order
     remap: dict = {}
@@ -322,17 +325,14 @@ def partition_by_graph(
     Degenerate cases (no soft clauses, an oversized resolution graph) fall
     back to a single partition with a warning.
     """
+    builds = {"vig": build_vig, "cvig": build_cvig,
+              "res": lambda inst: build_res(inst, max_pairs=max_pairs)}
+    if repr_kind not in builds:
+        raise ValueError(f"unknown representation {repr_kind!r}")
     if not inst.soft:
         return PartitionedInstance.single_block(inst)
     try:
-        if repr_kind == "vig":
-            g = build_vig(inst)
-        elif repr_kind == "cvig":
-            g = build_cvig(inst)
-        elif repr_kind == "res":
-            g = build_res(inst, max_pairs=max_pairs)
-        else:
-            raise ValueError(f"unknown representation {repr_kind!r}")
+        g = builds[repr_kind](inst)
     except ResolutionGraphTooLarge as exc:
         warnings.warn(f"{exc}; falling back to a single partition", stacklevel=2)
         return PartitionedInstance.single_block(inst)
