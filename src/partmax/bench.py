@@ -40,16 +40,18 @@ class RunRecord:
 
 
 def parse_strategy(spec: str):
-    """Split "random:16" style strategy specs into (name, k)."""
-    if spec.startswith("random"):
-        _, _, arg = spec.partition(":")
-        k = int(arg) if arg else 16
-        if k < 1:
-            raise ValueError(f"random partition count must be >= 1, got {k}")
-        return "random", k
-    if spec not in ("none", "user", "vig", "cvig", "res"):
+    """Split "random:16" style strategy specs into (name, k); a bare
+    "random" means 16 blocks, and no other strategy takes an argument."""
+    name, colon, arg = spec.partition(":")
+    if name not in STRATEGIES or (colon and name != "random"):
         raise ValueError(f"unknown strategy {spec!r}")
-    return spec, None
+    if name != "random":
+        return name, None
+    if not colon:
+        return name, 16
+    if not arg.isdigit() or int(arg) < 1:
+        raise ValueError(f"random partition count must be an integer >= 1, got {arg!r}")
+    return name, int(arg)
 
 
 def apply_strategy(kind: str, parsed, strategy: str, seed: int = 0) -> PartitionedInstance:

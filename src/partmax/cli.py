@@ -28,7 +28,6 @@ from .formats import ParseError, detect_and_parse, write_pwcnf, write_solution
 from .maxsat import AlgorithmKind
 
 ALGS = [a.value for a in AlgorithmKind]
-AUTO_STRATEGIES = ["vig", "cvig", "res", "random"]
 
 
 def _default_seed() -> int:

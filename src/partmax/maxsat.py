@@ -186,65 +186,55 @@ class _Msu3Engine:
 
 
 class _OllEngine:
-    """State: (pool, meta), assumption literal -> residual weight and ->
-    ("soft", id) | ("card", Totalizer, j). A core costs its least weight;
-    ladder assumptions pay for each additional violation within a core."""
+    """State: (pool, cards), assumption literal -> residual weight, and
+    totalizer output literal -> (Totalizer, j); a pool literal outside cards
+    is a soft guard. A core costs its least weight; ladder assumptions pay
+    for each additional violation within a core."""
 
     def __init__(self, run: _Run):
         self.run = run
 
     def new_state(self, soft_ids):
-        pool, meta = {}, {}
+        pool = {}
         for i in sorted(soft_ids):
-            lit = -self.run.guards[i]
-            pool[lit] = self.run.inst.soft[i].weight
-            meta[lit] = ("soft", i)
-        return pool, meta
+            pool[-self.run.guards[i]] = self.run.inst.soft[i].weight
+        return pool, {}
 
     def merge(self, a, b):
-        (pool_a, meta_a), (pool_b, meta_b) = a, b
-        return {**pool_a, **pool_b}, {**meta_a, **meta_b}
+        (pool_a, cards_a), (pool_b, cards_b) = a, b
+        return {**pool_a, **pool_b}, {**cards_a, **cards_b}
 
     def assumptions(self, state, lb):
         pool, _ = state
         return sorted(pool)
 
     def relax(self, state, core, lb) -> int:
-        pool, meta = state
+        pool, cards = state
         run = self.run
         core = sorted(core)
         w_star = min(pool[l] for l in core)
-        if len(core) == 1 and meta[core[0]][0] == "soft":
+        if len(core) == 1 and core[0] not in cards:
             # permanently violated soft: harden the entailment and drop it
             run.emit((-core[0],))
             del pool[core[0]]
-            del meta[core[0]]
             return w_star
         rels = []
         for l in core:
-            kind = meta[l]
             pool[l] -= w_star
             if pool[l] == 0:
                 del pool[l]
-                del meta[l]
-            if kind[0] == "card":
-                t, j = kind[1], kind[2]
+            if l in cards:
+                t, j = cards[l]
                 if j + 1 <= t.size:
                     nxt = -t.output(j + 1)
-                    if nxt in pool:
-                        pool[nxt] += w_star
-                    else:
-                        pool[nxt] = w_star
-                        meta[nxt] = ("card", t, j + 1)
+                    pool[nxt] = pool.get(nxt, 0) + w_star
+                    cards[nxt] = (t, j + 1)
             rels.append(-l)
         if len(rels) > 1:
             t = Totalizer(rels, run.alloc, run.emit)
             lit = -t.output(2)
-            if lit in pool:
-                pool[lit] += w_star
-            else:
-                pool[lit] = w_star
-                meta[lit] = ("card", t, 2)
+            pool[lit] = pool.get(lit, 0) + w_star
+            cards[lit] = (t, 2)
         return w_star
 
 

@@ -4,9 +4,10 @@ Standard architecture: two-watched-literal propagation (with a dedicated
 movement-free path for binary clauses), first-UIP conflict analysis with
 recursive clause minimization, activity-based branching with exponential
 decay, phase saving (initial polarity false), Luby restarts, and periodic
-deletion of low-activity learned clauses. The solver is fully
-deterministic: there is no randomized tie-breaking, the lowest variable
-index wins.
+deletion of the learned clauses with the highest LBD (literal block
+distance: the number of distinct decision levels among a clause's
+literals when it was learned). The solver is fully deterministic: there is
+no randomized tie-breaking, the lowest variable index wins.
 
 External literals are nonzero signed ints; internally a literal v is the
 code 2*v, and -v is 2*v+1, so negation is code^1 and the variable is
@@ -82,14 +83,12 @@ class Solver:
         self.trail_lim: list = []
         self.qhead = 0
         self.clauses: list = []
-        self.learnts: list = []
-        self._cla_act: dict = {}
+        self.learnts: list = []  # (lbd, clause) per learnt of 3+ literals, oldest first
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
-        self._cla_inc = 1.0
+        # (-activity, v): each unassigned v has an entry keyed by its activity
         self._heap: list = []
         self._reduces = 0
-        self.last_outcome: SolveOutcome | None = None
         self.stats = {
             "solves": 0,
             "conflicts": 0,
@@ -121,43 +120,42 @@ class Solver:
         Returns False once the database is unsatisfiable at the root.
         Tautologies are ignored; duplicate literals are dropped.
         """
+        n, vals = self.n_vars, self.vals
         seen = set()
-        cl = []
+        cl = []  # distinct literals not yet false at the root
+        satisfied = False
         for lit in lits:
-            v = abs(lit)
-            if not 1 <= v <= self.n_vars:
-                raise ValueError(f"literal {lit} outside allocated variables 1..{self.n_vars}")
+            if not 1 <= abs(lit) <= n:
+                raise ValueError(f"literal {lit} outside allocated variables 1..{n}")
             if -lit in seen:
                 return self.ok  # tautology
-            if lit not in seen:
-                seen.add(lit)
-                cl.append(_code(lit))
+            if lit in seen:
+                continue
+            seen.add(lit)
+            c = _code(lit)
+            if vals[c] == 1:
+                satisfied = True
+            elif vals[c] == 0:
+                cl.append(c)
         if not self.ok:
             return False
-        # root-level simplification
-        vals = self.vals
-        cl2 = []
-        for c in cl:
-            v = vals[c]
-            if v == 1:
-                return self.ok
-            if v == 0:
-                cl2.append(c)
-        if not cl2:
+        if satisfied:
+            return True
+        if not cl:
             self.ok = False
             return False
-        if len(cl2) == 1:
-            self._enqueue(cl2[0], None)
+        if len(cl) == 1:
+            self._enqueue(cl[0], None)
             if self._propagate() is not None:
                 self.ok = False
             return self.ok
-        if len(cl2) == 2:
-            self.bin_watches[cl2[0]].append((cl2[1], cl2))
-            self.bin_watches[cl2[1]].append((cl2[0], cl2))
+        if len(cl) == 2:
+            self.bin_watches[cl[0]].append((cl[1], cl))
+            self.bin_watches[cl[1]].append((cl[0], cl))
             return True
-        self.clauses.append(cl2)
-        self.watches[cl2[0]].append(cl2)
-        self.watches[cl2[1]].append(cl2)
+        self.clauses.append(cl)
+        self.watches[cl[0]].append(cl)
+        self.watches[cl[1]].append(cl)
         return True
 
     # -------------------------------------------------------- assignment
@@ -279,12 +277,6 @@ class Solver:
         else:
             heappush(self._heap, (-self.activity[v], v))
 
-    def _bump_cla(self, cl) -> None:
-        key = id(cl)
-        act = self._cla_act.get(key)
-        if act is not None:
-            self._cla_act[key] = act + self._cla_inc
-
     def _rebuild_heap(self) -> None:
         self._heap = [
             (-self.activity[v], v)
@@ -303,8 +295,6 @@ class Solver:
         index = len(self.trail)
         c = confl
         while True:
-            if id(c) in self._cla_act:
-                self._bump_cla(c)
             start = 0 if p == -1 else 1
             for k in range(start, len(c)):
                 q = c[k]
@@ -397,12 +387,10 @@ class Solver:
             na, v = heappop(heap)
             if vals[v << 1] == 0 and -na == activity[v]:
                 return v
-        self._rebuild_heap()
-        if self._heap:
-            return heappop(self._heap)[1]
-        return None
+        return None  # an unassigned variable always has a current entry
 
     def _record_learnt(self, learnt, bt: int) -> None:
+        lbd = len({self.level[c >> 1] for c in learnt})  # levels before the backjump
         self._cancel_until(bt)
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
@@ -412,41 +400,31 @@ class Solver:
             self.bin_watches[learnt[1]].append((learnt[0], learnt))
             self._enqueue(learnt[0], learnt)
             return
-        self.learnts.append(learnt)
-        self._cla_act[id(learnt)] = self._cla_inc
+        self.learnts.append((lbd, learnt))
         self.watches[learnt[0]].append(learnt)
         self.watches[learnt[1]].append(learnt)
         self._enqueue(learnt[0], learnt)
-
-    def _decay(self) -> None:
-        self._var_inc *= self._var_decay
-        self._cla_inc *= 1.001
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolverTimeout
 
     def _reduce_db(self) -> None:
+        """Drop up to half of the learnts; a reason of a current assignment stays."""
         self._reduces += 1
-        self.learnts.sort(key=lambda cl: self._cla_act.get(id(cl), 0.0))
-        keep = []
-        drop = 0
-        target = len(self.learnts) // 2
-        for cl in self.learnts:
-            locked = self.reason[cl[0] >> 1] is cl
-            if drop >= target or locked:
-                keep.append(cl)
-            else:
-                self._cla_act.pop(id(cl), None)
-                drop += 1
-        self.learnts = keep
+        learnts, reason = self.learnts, self.reason
+        # highest LBD first; the sort is stable, so oldest first among equals
+        ranked = sorted(range(len(learnts)), key=lambda i: -learnts[i][0])
+        unlocked = [i for i in ranked if reason[learnts[i][1][0] >> 1] is not learnts[i][1]]
+        drop = set(unlocked[: len(learnts) // 2])
+        self.learnts = [e for i, e in enumerate(learnts) if i not in drop]
         # rebuild watch lists from scratch (deleted clauses vanish)
         for code in range(2, 2 * self.n_vars + 2):
             self.watches[code] = []
         for cl in self.clauses:
             self.watches[cl[0]].append(cl)
             self.watches[cl[1]].append(cl)
-        for cl in self.learnts:
+        for _, cl in self.learnts:
             self.watches[cl[0]].append(cl)
             self.watches[cl[1]].append(cl)
 
@@ -472,14 +450,14 @@ class Solver:
             if confl is not None:
                 self.stats["conflicts"] += 1
                 local_conflicts += 1
-                if local_conflicts & 63 == 0:
-                    self._check_deadline()
                 if not self.trail_lim:
                     self.ok = False
                     return SolveOutcome(sat=False, core=frozenset())
+                if local_conflicts & 63 == 0:
+                    self._check_deadline()
                 learnt, bt = self._analyze(confl)
                 self._record_learnt(learnt, bt)
-                self._decay()
+                self._var_inc *= self._var_decay
                 continue
             if local_conflicts >= budget:
                 return None
@@ -526,15 +504,9 @@ class Solver:
         if self.ok and self._propagate() is not None:
             self.ok = False
         if not self.ok:
-            out = SolveOutcome(sat=False, core=frozenset())
-        else:
-            out = self._search(codes)
-        self._cancel_until(0)
-        self.last_outcome = out
-        return out
-
-    def model_value(self, v: int) -> bool:
-        """Value of variable v in the most recent SAT model."""
-        if self.last_outcome is None or not self.last_outcome.sat:
-            raise RuntimeError("no model available: last solve was not SAT")
-        return self.last_outcome.model[v]
+            return SolveOutcome(sat=False, core=frozenset())
+        try:
+            return self._search(codes)
+        finally:
+            # also on a timeout: later clauses must see root values only
+            self._cancel_until(0)

@@ -27,8 +27,9 @@ def test_parse_strategy_specs():
     assert bench.parse_strategy("vig") == ("vig", None)
     with pytest.raises(ValueError):
         bench.parse_strategy("random:0")
-    with pytest.raises(ValueError):
-        bench.parse_strategy("zigzag")
+    for bad in ("zigzag", "randomly", "random16", "random:", "vig:3"):
+        with pytest.raises(ValueError):
+            bench.parse_strategy(bad)
 
 
 def test_user_strategy_requires_pwcnf():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import TWO_TRIANGLES_HARD
 from oracles import dpll_satisfiable
+from partmax import sat
 from partmax.sat import Solver, SolverTimeout
 
 
@@ -73,16 +74,6 @@ def test_core_needs_both_assumptions():
     assert out.core == frozenset({-1, -2})
 
 
-def test_model_value_contract():
-    s = make_solver(1, [(1,)])
-    assert s.solve().sat
-    assert s.model_value(1) is True
-    s.add_clause((-1,))
-    assert not s.solve().sat
-    with pytest.raises(RuntimeError):
-        s.model_value(1)
-
-
 def test_add_clause_rejects_unreserved_variables():
     s = make_solver(2)
     with pytest.raises(ValueError):
@@ -106,6 +97,50 @@ def random_cnf(rng, n_vars, n_clauses, width=3):
         vs = rng.sample(range(1, n_vars + 1), min(k, n_vars))
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return clauses
+
+
+def random_3sat(rng, n_vars, n_clauses):
+    return [
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), 3))
+        for _ in range(n_clauses)
+    ]
+
+
+class _ExpiringClock:
+    """Stands in for the time module: the first reading is before the
+    deadline, every later one after it."""
+
+    def __init__(self):
+        self.readings = 0
+
+    def monotonic(self):
+        self.readings += 1
+        return 0.0 if self.readings == 1 else 2.0
+
+
+def test_timeout_leaves_solver_at_root(monkeypatch):
+    n = 120
+    clauses = random_3sat(random.Random(1), n, 480)
+    s = make_solver(n, clauses)
+    decisions = []
+    decide = s._decide
+    s._decide = lambda code: (decisions.append(code), decide(code))
+    monkeypatch.setattr(sat, "time", _ExpiringClock())
+    s.deadline = 1.0
+    with pytest.raises(SolverTimeout):
+        s.solve()
+    assert decisions, "the search made no decision before timing out"
+    assert not s.trail_lim and all(s.level[c >> 1] == 0 for c in s.trail)
+    s.deadline = None
+    # a unit against the first decision: were that decision still on the
+    # trail, add_clause would read it as a root fact
+    unit = (-sat._ext(decisions[0]),)
+    s.add_clause(unit)
+    out = s.solve()
+    fresh = make_solver(n, clauses + [unit]).solve()
+    assert out.sat == fresh.sat
+    if out.sat:
+        check_model(clauses + [unit], out.model)
 
 
 def test_agrees_with_dpll_on_random_cnf():
@@ -149,6 +184,15 @@ def test_determinism_same_input_same_statistics():
     assert run() == run()
 
 
+def assert_heap_covers_unassigned(s):
+    """Branching relies on this: every unassigned variable has a heap entry
+    keyed by its current activity, so an empty heap means all are assigned."""
+    entries = set(s._heap)
+    for v in range(1, s.n_vars + 1):
+        if s.vals[v << 1] == 0:
+            assert (-s.activity[v], v) in entries, v
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_incremental_equals_fresh_solver(data):
@@ -162,6 +206,7 @@ def test_incremental_equals_fresh_solver(data):
             incremental.add_clause(cl)
         so_far.extend(batch)
         got = incremental.solve().sat
+        assert_heap_covers_unassigned(incremental)
         fresh = make_solver(n, so_far).solve().sat
         assert got == fresh == dpll_satisfiable(so_far)
 
@@ -172,3 +217,83 @@ def test_statistics_exposed():
     assert s.stats["solves"] == 1
     assert s.stats["propagations"] >= 0
     assert set(s.stats) >= {"conflicts", "decisions", "propagations", "restarts"}
+
+
+def test_root_conflict_outranks_an_expired_deadline(monkeypatch):
+    # this unsatisfiable formula is refuted at the 64th conflict, where the
+    # search also checks the deadline; the refutation must not be lost
+    clauses = random_3sat(random.Random(73), 42, 193)
+    s = make_solver(42, clauses)
+    monkeypatch.setattr(sat, "time", _ExpiringClock())
+    s.deadline = 1.0
+    assert not s.solve().sat
+    assert s.stats["conflicts"] == 64 and not s.ok
+    s.deadline = None
+    assert not s.solve().sat
+
+
+def assert_watches_exact(s):
+    """Each long clause, original or learnt, is watched by exactly its first
+    two literals, and nothing else is watched."""
+    long_clauses = s.clauses + [cl for _, cl in s.learnts]
+    watched = [(code, cl) for code, ws in enumerate(s.watches) for cl in ws]
+    assert len(watched) == 2 * len(long_clauses)
+    for code, cl in watched:
+        assert code in (cl[0], cl[1])
+    for cl in long_clauses:
+        assert any(w is cl for w in s.watches[cl[0]])
+        assert any(w is cl for w in s.watches[cl[1]])
+
+
+def test_learnt_reduction_keeps_locked_clauses_and_watches():
+    n = 160
+    clauses = random_3sat(random.Random(0), n, int(4.26 * n))
+    s = make_solver(n, clauses)
+    s._reduces = -3  # the first reduction fires at 1000 learnts instead of 4000
+    s._var_inc = 1e95  # and activities are rescaled within a few hundred conflicts
+    reductions = []
+    reduce_db = s._reduce_db
+
+    def checked_reduce_db():
+        locked = {id(cl) for _, cl in s.learnts if s.reason[cl[0] >> 1] is cl}
+        # give locked clauses the worst LBD, so only their lock keeps them
+        s.learnts = [(n + 1 if id(cl) in locked else lbd, cl) for lbd, cl in s.learnts]
+        before = list(s.learnts)
+        reduce_db()
+        kept = {id(cl) for _, cl in s.learnts}
+        dropped = [lbd for lbd, cl in before if id(cl) not in kept]
+        assert 0 < len(dropped) <= len(before) // 2
+        assert locked <= kept
+        # highest LBD goes first: no unlocked survivor has a higher LBD
+        survivors = [lbd for lbd, cl in s.learnts if id(cl) not in locked]
+        assert max(survivors, default=0) <= min(dropped)
+        # and oldest first among equal LBDs: dropped ties precede kept ones
+        ties = [id(cl) in kept for lbd, cl in before if lbd == min(dropped) and id(cl) not in locked]
+        assert ties == sorted(ties)
+        # survivors keep their order, oldest first
+        assert s.learnts == [e for e in before if id(e[1]) in kept]
+        assert_watches_exact(s)
+        reductions.append((len(before), len(locked), len(dropped)))
+
+    s._reduce_db = checked_reduce_db
+    out = s.solve()
+    assert reductions and reductions[0][1] > 0, reductions
+    assert s._var_inc < 1e95  # rescaled
+    assert_heap_covers_unassigned(s)
+    assert out.sat
+    check_model(clauses, out.model)
+    # later incremental solves under assumptions agree with a fresh solver:
+    # each model satisfies everything, each core is unsatisfiable afresh
+    rng = random.Random(1)
+    outcomes = set()
+    for k in (1, 2, 4, 8, 12, 16):
+        assumps = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+        got = s.solve(assumptions=assumps)
+        assert_heap_covers_unassigned(s)
+        outcomes.add(got.sat)
+        if got.sat:
+            check_model(clauses + [(a,) for a in assumps], got.model)
+        else:
+            assert got.core <= set(assumps)
+            assert not make_solver(n, clauses).solve(assumptions=sorted(got.core, key=abs)).sat
+    assert outcomes == {True, False}
