@@ -30,11 +30,7 @@ from .maxsat import (
     AlgorithmKind,
     SolveResult,
     Status,
-    solve_lsu,
-    solve_msu3,
-    solve_oll,
-    solve_partitioned,
-    solve_wbo,
+    solve_instance,
 )
 from .sat import SolveOutcome, Solver, SolverTimeout
 
@@ -62,11 +58,7 @@ __all__ = [
     "AlgorithmKind",
     "SolveResult",
     "Status",
-    "solve_lsu",
-    "solve_msu3",
-    "solve_oll",
-    "solve_partitioned",
-    "solve_wbo",
+    "solve_instance",
     "SolveOutcome",
     "Solver",
     "SolverTimeout",

@@ -126,8 +126,9 @@ def run_benchmark(
     seed: int = 0,
     mem_limit_mb: int | None = None,
 ):
-    """One RunRecord per (instance, algorithm, strategy); per-run crashes are
-    recorded as status=error and the harness continues."""
+    """One RunRecord per (instance, algorithm, strategy), each run in one of
+    `jobs` worker processes; per-run crashes are recorded as status=error
+    and the harness continues."""
     tasks = [
         (str(path), alg, strategy, timeout, seed)
         for path in sorted(corpus)
@@ -136,12 +137,11 @@ def run_benchmark(
     ]
     if not tasks:
         return []
-    if jobs <= 1:
-        records = [_bench_worker(t) for t in tasks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_set_mem_limit, initargs=(mem_limit_mb,)) as pool:
-            records = pool.map(_bench_worker, tasks)
+    # every run is in a worker, so that the memory limit applies at any job
+    # count and never to the caller's own process
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(max(jobs, 1), initializer=_set_mem_limit, initargs=(mem_limit_mb,)) as pool:
+        records = pool.map(_bench_worker, tasks)
     records.sort(key=lambda r: (r.instance, r.alg, r.strategy))
     return records
 

@@ -25,7 +25,7 @@ from .encoders import (
     generate_corpus,
 )
 from .formats import ParseError, detect_and_parse, write_pwcnf, write_solution
-from .maxsat import AlgorithmKind
+from .maxsat import AlgorithmKind, solve_instance
 
 ALGS = [a.value for a in AlgorithmKind]
 
@@ -70,8 +70,6 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .maxsat import solve_instance
-
     res = solve_instance(pinst, args.alg, budget=args.timeout)
     print(f"c partitions: {pinst.n_part}")
     print(f"c sat_calls: {res.stats.sat_calls}")

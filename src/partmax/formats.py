@@ -65,7 +65,8 @@ def _int_token(ln: int, tok: str, what: str) -> int:
         raise ParseError(ln, f"expected {what}, got {tok!r}") from None
 
 
-def _parse(text, fmt: str):
+def _parse(text, fmt: str | None):
+    """Parse wcnf or pwcnf; with fmt None, the header's format tag decides."""
     toks = _token_stream(text)
     try:
         ln, tok = next(toks)
@@ -73,21 +74,25 @@ def _parse(text, fmt: str):
         raise ParseError(1, "missing header") from None
     if tok != "p":
         raise ParseError(ln, f"missing header: expected 'p', got {tok!r}")
-    header_fields = 5 if fmt == "pwcnf" else 4
-    fields = []
-    for what in ("format tag", "n_vars", "n_clauses", "topw", "n_part")[:header_fields]:
+
+    def header_token():
         try:
-            ln2, tok = next(toks)
+            return next(toks)
         except StopIteration:
             raise ParseError(ln, "truncated header") from None
-        fields.append((ln2, tok))
-    tag = fields[0][1]
+
+    tag_ln, tag = header_token()
+    if fmt is None:
+        if tag not in ("wcnf", "pwcnf"):
+            raise ParseError(tag_ln, f"unknown format {tag!r}")
+        fmt = tag
+    fields = [header_token() for _ in range(4 if fmt == "pwcnf" else 3)]
     if tag != fmt:
-        raise ParseError(fields[0][0], f"expected '{fmt}' header, got {tag!r}")
-    n_vars = _int_token(fields[1][0], fields[1][1], "variable count")
-    n_clauses = _int_token(fields[2][0], fields[2][1], "clause count")
-    top = _int_token(fields[3][0], fields[3][1], "top weight")
-    n_part = _int_token(fields[4][0], fields[4][1], "partition count") if fmt == "pwcnf" else 0
+        raise ParseError(tag_ln, f"expected '{fmt}' header, got {tag!r}")
+    n_vars = _int_token(*fields[0], "variable count")
+    n_clauses = _int_token(*fields[1], "clause count")
+    top = _int_token(*fields[2], "top weight")
+    n_part = _int_token(*fields[3], "partition count") if fmt == "pwcnf" else 0
     if n_vars < 0 or n_clauses < 0:
         raise ParseError(ln, "header counts must be nonnegative")
     if top < 1:
@@ -177,22 +182,10 @@ def parse_wcnf(text) -> MaxSatInstance:
 
 
 def detect_and_parse(text):
-    """Return ("pwcnf", PartitionedInstance) or ("wcnf", MaxSatInstance)."""
-    probe = text
-    if isinstance(probe, (bytes, bytearray)):
-        probe = probe.decode("utf-8", errors="replace")
-    for ln, line in enumerate(probe.splitlines(), start=1):
-        stripped = line.split()
-        if not stripped or stripped[0].startswith("c"):
-            continue
-        if stripped[0] == "p" and len(stripped) > 1:
-            if stripped[1] == "pwcnf":
-                return "pwcnf", parse_pwcnf(text)
-            if stripped[1] == "wcnf":
-                return "wcnf", parse_wcnf(text)
-            raise ParseError(ln, f"unknown format {stripped[1]!r}")
-        raise ParseError(ln, "missing header")
-    raise ParseError(1, "missing header")
+    """Return ("pwcnf", PartitionedInstance) or ("wcnf", MaxSatInstance),
+    as the header's format tag says."""
+    parsed = _parse(text, None)
+    return ("pwcnf" if isinstance(parsed, PartitionedInstance) else "wcnf"), parsed
 
 
 def write_pwcnf(pinst: PartitionedInstance) -> str:

@@ -1,4 +1,5 @@
-"""MaxSAT algorithms and the partition-merge driver.
+"""MaxSAT algorithms and the partition-merge driver, behind one entry point:
+`solve_instance(pinst, alg, budget)`.
 
 lsu is a linear search on a decreasing upper bound over the whole instance.
 msu3, oll and wbo are core-guided and share one driver: it solves every
@@ -75,16 +76,14 @@ class _Run:
         self.inst = inst
         deadline = None if budget is None else time.monotonic() + budget
         self.solver = Solver(deadline=deadline)
-        self.alloc = VarAllocator(inst.n_vars)
-        self.solver.reserve(inst.n_vars)
+        n_guarded = inst.n_vars + len(inst.soft)
+        self.alloc = VarAllocator(n_guarded)
+        self.solver.reserve(n_guarded)
         for cl in inst.hard:
             self.solver.add_clause(cl)
-        self.guards = []
-        for s in inst.soft:
-            g = self.alloc.fresh()
-            self.solver.reserve(g)
+        self.guards = range(inst.n_vars + 1, n_guarded + 1)  # guard of soft i
+        for s, g in zip(inst.soft, self.guards):
             self.solver.add_clause(tuple(s.lits) + (g,))
-            self.guards.append(g)
         self.stats = SolveStats()
         self.best_cost: int | None = None
         self.best_model = None
@@ -300,51 +299,25 @@ def _result(run: _Run, status: Status, cost, model, lb: int, t0: float) -> Solve
     return SolveResult(status=status, cost=cost, model=model, lower_bound=lb, stats=run.stats)
 
 
-def solve_lsu(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
-    """Linear search: relax all softs, tighten the weighted upper bound
-    until UNSAT; the last model is optimal."""
-    inst.validate()
-    t0 = time.monotonic()
-    run = _Run(inst, budget)
-    try:
-        out = run.sat(())
-        if not out.sat:
-            return _result(run, Status.HARD_UNSAT, None, None, 0, t0)
+def _lsu_search(run: _Run, t0: float) -> SolveResult:
+    """Linear search once the hard clauses are satisfiable: relax all softs,
+    tighten the weighted upper bound until UNSAT; the last model is optimal."""
+    run.stats.bound_trace.append(run.best_cost)
+    if run.best_cost == 0:
+        return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
+    tot = GenTotalizer(run.alloc, run.emit, cap=run.best_cost)
+    tot.add_inputs([(run.guards[i], s.weight) for i, s in enumerate(run.inst.soft)])
+    forbidden = set()
+    while True:
+        for w, lit in sorted(tot.outs.items()):
+            if w > run.best_cost - 1 and w not in forbidden:
+                run.emit((-lit,))
+                forbidden.add(w)
+        if not run.sat(()).sat:
+            return _result(run, Status.OPTIMUM, run.best_cost, run.best_model, run.best_cost, t0)
         run.stats.bound_trace.append(run.best_cost)
         if run.best_cost == 0:
             return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
-        tot = GenTotalizer(run.alloc, run.emit, cap=run.best_cost)
-        tot.add_inputs(
-            [(run.guards[i], s.weight) for i, s in enumerate(inst.soft)]
-        )
-        forbidden = set()
-        while True:
-            for w, lit in sorted(tot.outs.items()):
-                if w > run.best_cost - 1 and w not in forbidden:
-                    run.emit((-lit,))
-                    forbidden.add(w)
-            out = run.sat(())
-            if not out.sat:
-                return _result(
-                    run, Status.OPTIMUM, run.best_cost, run.best_model, run.best_cost, t0
-                )
-            run.stats.bound_trace.append(run.best_cost)
-            if run.best_cost == 0:
-                return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
-    except SolverTimeout:
-        return _result(run, Status.TIMEOUT, run.best_cost, run.best_model, 0, t0)
-
-
-def solve_msu3(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
-    return solve_partitioned(PartitionedInstance.single_block(inst), AlgorithmKind.MSU3, budget)
-
-
-def solve_oll(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
-    return solve_partitioned(PartitionedInstance.single_block(inst), AlgorithmKind.OLL, budget)
-
-
-def solve_wbo(inst: MaxSatInstance, budget: float | None = None) -> SolveResult:
-    return solve_partitioned(PartitionedInstance.single_block(inst), AlgorithmKind.WBO, budget)
 
 
 def select_partitions(sizes) -> tuple:
@@ -357,31 +330,33 @@ def select_partitions(sizes) -> tuple:
     return pair[0], pair[1]
 
 
-def solve_partitioned(
+def solve_instance(
     pinst: PartitionedInstance,
     alg: AlgorithmKind | str,
     budget: float | None = None,
 ) -> SolveResult:
-    """Partition-merge driver: solve every block, then repeatedly merge the
-    two smallest blocks and re-solve with carried state until one remains.
+    """Solve a partitioned instance with one algorithm, within `budget`
+    seconds of wall clock when given.
 
-    A single block is the unpartitioned algorithm. An instance without soft
-    clauses is solved as one empty block. The driver requires a core-guided
-    algorithm; lsu is bound-driven and is rejected.
+    lsu searches the whole instance and ignores the labels. msu3, oll and
+    wbo go through the partition-merge driver: solve every block, then
+    repeatedly merge the two smallest blocks and re-solve with carried state
+    until one remains. A single block is the unpartitioned algorithm; an
+    instance without soft clauses is solved as one empty block.
     """
     alg = AlgorithmKind(alg)
-    if alg == AlgorithmKind.LSU:
-        raise ValueError("lsu is not core-driven; partitioning does not apply")
     pinst.validate()
     t0 = time.monotonic()
     run = _Run(pinst.base, budget)
-    engine = _ENGINES[alg](run)
     blocks = pinst.blocks() or {1: []}
     run.stats.n_partitions = len(blocks)
     parts: dict = {}  # label -> (_Block, labels of the blocks merged into it)
     try:
         if not run.sat(()).sat:
             return _result(run, Status.HARD_UNSAT, None, None, 0, t0)
+        if alg == AlgorithmKind.LSU:
+            return _lsu_search(run, t0)
+        engine = _ENGINES[alg](run)
         for label, ids in blocks.items():
             blk = _Block(list(ids), engine.new_state(ids))
             parts[label] = (blk, (label,))
@@ -400,18 +375,3 @@ def solve_partitioned(
         return _result(run, Status.OPTIMUM, cost, model, cost, t0)
     except SolverTimeout:
         return _result(run, Status.TIMEOUT, run.best_cost, run.best_model, run.lb, t0)
-
-
-def solve_instance(
-    pinst: PartitionedInstance,
-    alg: AlgorithmKind | str,
-    budget: float | None = None,
-) -> SolveResult:
-    """Dispatch: lsu always solves the whole instance (labels ignored);
-    core-guided algorithms go through the partition driver."""
-    alg = AlgorithmKind(alg)
-    if alg == AlgorithmKind.LSU:
-        res = solve_lsu(pinst.base, budget)
-        res.stats.n_partitions = len(pinst.blocks()) or 1
-        return res
-    return solve_partitioned(pinst, alg, budget)

@@ -62,6 +62,26 @@ def test_parallel_jobs_match_serial(corpus_dir):
     assert strip(serial) == strip(parallel)
 
 
+def test_mem_limit_applies_at_one_job(corpus_dir, tmp_path, monkeypatch):
+    resource = pytest.importorskip("resource")
+    seen = tmp_path / "limits.txt"
+    solve_file = bench.solve_file
+
+    def spy(*args, **kwargs):
+        with open(seen, "a") as fh:
+            fh.write(f"{resource.getrlimit(resource.RLIMIT_AS)[0]}\n")
+        return solve_file(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "solve_file", spy)
+    own = resource.getrlimit(resource.RLIMIT_AS)
+    records = bench.run_benchmark(
+        [str(corpus_dir / "two_triangles.pwcnf")], ["oll"], ["none"], jobs=1, mem_limit_mb=4096
+    )
+    assert [r.status for r in records] == ["optimum"]
+    assert seen.read_text().split() == [str(4096 * 1024 * 1024)]
+    assert resource.getrlimit(resource.RLIMIT_AS) == own
+
+
 def test_empty_matrix_yields_empty_csv():
     records = bench.run_benchmark([], ALL_ALGS, ALL_STRATEGIES, jobs=1)
     assert records == []

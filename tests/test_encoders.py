@@ -18,7 +18,7 @@ from partmax.encoders import (
     generate_corpus,
 )
 from partmax.formats import parse_pwcnf, semantically_equal, write_pwcnf
-from partmax.maxsat import solve_oll, solve_partitioned
+from partmax.maxsat import solve_instance
 
 # Reference problems: a triangle with a pendant vertex and four colors, and
 # five guests with three tags over two tables seating two to three each.
@@ -79,11 +79,7 @@ def test_msc_soft_weight_is_color_index():
 def test_msc_solve_matches_brute_force():
     for scheme in (SchemeChoice.NONE, SchemeChoice.MSC_VERTEX, SchemeChoice.MSC_COLOR):
         pinst = encode_msc(TRIANGLE_TAIL, scheme)
-        res = (
-            solve_oll(pinst.base)
-            if scheme == SchemeChoice.NONE
-            else solve_partitioned(pinst, "oll")
-        )
+        res = solve_instance(pinst, "oll")
         assert res.cost == 7
         coloring = decode_msc(TRIANGLE_TAIL, res.model)
         assert all(coloring[u - 1] != coloring[v - 1] for u, v in TRIANGLE_TAIL.edges)
@@ -106,11 +102,7 @@ def test_seating_table_scheme_shape():
 def test_seating_solve_matches_brute_force():
     for scheme in (SchemeChoice.NONE, SchemeChoice.SEAT_TAGS, SchemeChoice.SEAT_TABLES):
         pinst = encode_seating(FIVE_GUESTS, scheme)
-        res = (
-            solve_oll(pinst.base)
-            if scheme == SchemeChoice.NONE
-            else solve_partitioned(pinst, "oll")
-        )
+        res = solve_instance(pinst, "oll")
         assert res.cost == 4
         seating = decode_seating(FIVE_GUESTS, res.model)
         counts = [seating.count(t) for t in (1, 2)]
@@ -152,7 +144,7 @@ def test_encoding_correctness_random_sweep():
         prob = gen_msc(msc_cfg, seed=1000 + i)
         want = brute_force_msc(prob)
         pinst = encode_msc(prob, SchemeChoice.MSC_VERTEX)
-        res = solve_partitioned(pinst, "msu3")
+        res = solve_instance(pinst, "msu3")
         if want is None:
             assert res.status.value == "hard-unsat"
         else:
@@ -166,7 +158,7 @@ def test_encoding_correctness_random_sweep():
         prob = gen_seating(seat_cfg, seed=2000 + i)
         want = brute_force_seating(prob)
         pinst = encode_seating(prob, SchemeChoice.SEAT_TABLES)
-        res = solve_partitioned(pinst, "wbo")
+        res = solve_instance(pinst, "wbo")
         if want is None:
             assert res.status.value == "hard-unsat"
         else:
@@ -182,7 +174,7 @@ def test_single_tag_universe_costs_one_per_table():
         tags=("A",),
     )
     assert brute_force_seating(prob) == 2
-    res = solve_oll(encode_seating(prob).base)
+    res = solve_instance(encode_seating(prob), "oll")
     assert res.cost == 2
 
 
@@ -194,7 +186,7 @@ def test_no_tags_costs_zero():
         max_per_table=2,
         tags=("A", "B"),
     )
-    res = solve_oll(encode_seating(prob).base)
+    res = solve_instance(encode_seating(prob), "oll")
     assert res.cost == 0
 
 

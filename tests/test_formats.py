@@ -144,7 +144,10 @@ def test_detect_and_parse_picks_dialect():
     assert kind == "wcnf" and isinstance(inst, MaxSatInstance)
     kind, pinst = detect_and_parse(TWO_TRIANGLES_PWCNF.encode())
     assert kind == "pwcnf" and isinstance(pinst, PartitionedInstance)
-    with pytest.raises(ParseError):
+    # the header's tokens may wrap across lines, as the parsers allow
+    wrapped = "p\nwcnf 1 1 3\n3 1 0\n"
+    assert detect_and_parse(wrapped) == ("wcnf", parse_wcnf(wrapped))
+    with pytest.raises(ParseError, match="unknown format 'cnf'"):
         detect_and_parse("p cnf 1 1\n1 0\n")
 
 
