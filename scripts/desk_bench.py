@@ -13,6 +13,7 @@ import os
 import sys
 
 from partmax import bench
+from partmax.cli import env_seed
 from partmax.encoders import (
     MscGenConfig,
     SchemeChoice,
@@ -54,9 +55,11 @@ def main(argv=None) -> int:
     ap.add_argument("--count", type=int, default=30, help="instances per problem family")
     ap.add_argument("--timeout", type=float, default=10.0)
     ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    ap.add_argument("--seed", type=int, default=int(os.environ.get("UPMAX_SEED", "0")))
+    ap.add_argument("--seed", type=int, default=None, help="default: $UPMAX_SEED or 0")
     ap.add_argument("--mem-limit-mb", type=int, default=None)
     args = ap.parse_args(argv)
+    if args.seed is None:
+        args.seed = env_seed(ap)
 
     msc_cfg = MscGenConfig(
         min_vertices=8, max_vertices=16, min_density=0.2, max_density=0.5,

@@ -7,10 +7,10 @@ Example:
 """
 
 import argparse
-import os
 import sys
 import time
 
+from partmax.cli import env_seed
 from partmax.cnf import PartitionedInstance
 from partmax.encoders import SchemeChoice, SeatingGenConfig, encode_seating, gen_seating
 from partmax.maxsat import Status, solve_instance
@@ -21,11 +21,13 @@ def main(argv=None) -> int:
     ap.add_argument("--alg", default="wbo", choices=["msu3", "oll", "wbo"])
     ap.add_argument("--count", type=int, default=100)
     ap.add_argument("--timeout", type=float, default=60.0)
-    ap.add_argument("--seed", type=int, default=int(os.environ.get("UPMAX_SEED", "8000")))
+    ap.add_argument("--seed", type=int, default=None, help="default: $UPMAX_SEED or 8000")
     ap.add_argument("--min-persons", type=int, default=10)
     ap.add_argument("--max-persons", type=int, default=14)
     ap.add_argument("--tables", type=int, default=3)
     args = ap.parse_args(argv)
+    if args.seed is None:
+        args.seed = env_seed(ap, 8000)
 
     cfg = SeatingGenConfig(
         min_persons=args.min_persons, max_persons=args.max_persons,

@@ -4,7 +4,8 @@ Subcommands: solve (wcnf/pwcnf -> solution), partition (wcnf -> pwcnf via an
 automatic strategy), encode (problem parameters -> pwcnf), gen (random
 corpus + manifest), bench (matrix run -> CSV/summary/cactus/scatter).
 
-The seed defaults to the UPMAX_SEED environment variable, then 0.
+The seed defaults to the UPMAX_SEED environment variable, then 0; a value
+that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -30,21 +31,22 @@ from .maxsat import AlgorithmKind, solve_instance
 ALGS = [a.value for a in AlgorithmKind]
 
 
-def _default_seed() -> int:
+def env_seed(parser: argparse.ArgumentParser, default: int = 0) -> int:
+    """$UPMAX_SEED as an int, or default when unset; exits 2 through
+    parser.error when the variable is not an integer."""
+    raw = os.environ.get("UPMAX_SEED")
+    if raw is None:
+        return default
     try:
-        return int(os.environ.get("UPMAX_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        parser.error(f"UPMAX_SEED must be an integer, got {raw!r}")
 
 
 def _add_seed(parser) -> None:
     parser.add_argument(
         "--seed", type=int, default=None, help="random seed (default: $UPMAX_SEED or 0)"
     )
-
-
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _read(path: str):
@@ -63,7 +65,7 @@ def _write_out(text: str, out: str | None) -> None:
 def cmd_solve(args) -> int:
     try:
         kind, parsed = _read(args.file)
-        pinst = bench_mod.apply_strategy(kind, parsed, args.strategy, seed=_seed_of(args))
+        pinst = bench_mod.apply_strategy(kind, parsed, args.strategy, seed=args.seed)
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
@@ -82,7 +84,7 @@ def cmd_solve(args) -> int:
 def cmd_partition(args) -> int:
     try:
         kind, parsed = _read(args.file)
-        pinst = bench_mod.apply_strategy(kind, parsed, args.strategy, seed=_seed_of(args))
+        pinst = bench_mod.apply_strategy(kind, parsed, args.strategy, seed=args.seed)
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
@@ -139,7 +141,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = _seed_of(args)
     try:
         scheme = SchemeChoice(args.scheme)
         if args.problem == "msc":
@@ -160,7 +161,7 @@ def cmd_gen(args) -> int:
                 min_tag_universe=args.min_tags,
                 max_tag_universe=args.max_tags,
             )
-        paths = generate_corpus(args.problem, cfg, args.count, scheme, seed, args.out_dir)
+        paths = generate_corpus(args.problem, cfg, args.count, scheme, args.seed, args.out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -212,7 +213,7 @@ def cmd_bench(args) -> int:
         strategies,
         timeout=args.timeout,
         jobs=args.jobs,
-        seed=_seed_of(args),
+        seed=args.seed,
         mem_limit_mb=args.mem_limit_mb,
     )
     summary = bench_mod.write_reports(records, algs, strategies, args.out_dir, scatters)
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("partition", help="emit a pwcnf with automatically derived partitions")
     pp.add_argument("file")
     pp.add_argument(
-        "--strategy", required=True, help="vig | cvig | res | random:<k>"
+        "--strategy", required=True, help="none | user | vig | cvig | res | random:<k>"
     )
     pp.add_argument("-o", "--output", default=None)
     _add_seed(pp)
@@ -309,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = env_seed(parser)
     return args.func(args)
 
 

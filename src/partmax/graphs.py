@@ -9,15 +9,17 @@ Three representations are built from all clauses, hard and soft:
 - res: one node per clause; clause pairs whose resolvent is non-trivial are
   joined with weight 1/|resolvent|.
 
-Communities found by greedy modularity maximization over these graphs are
-then mapped to soft-clause partition labels. Edge weights are integers over
-the common denominator `scale`; exact sums do not depend on clause order.
+Communities found by modularity maximization over these graphs (local moves
+from a node queue, then aggregation) become soft-clause partition labels.
+Edge weights are integers over the common denominator `scale`; exact sums do
+not depend on clause order.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
 from math import comb, lcm
 
@@ -55,15 +57,10 @@ class WeightedGraph:
         return list(self.adj)
 
     def edges(self):
-        out = []
-        for u, nbrs in self.adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    out.append((u, v, w))
-        return out
+        return [(u, v, w) for u, nbrs in self.adj.items() for v, w in nbrs.items() if u < v]
 
     def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges()) / self.scale
+        return sum(sum(nbrs.values()) for nbrs in self.adj.values()) / (2 * self.scale)
 
 
 def _all_clauses(inst: MaxSatInstance):
@@ -103,20 +100,24 @@ def build_cvig(inst: MaxSatInstance) -> WeightedGraph:
 
 def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGraph:
     """Resolution graph. Examines only clause pairs sharing a complementary
-    literal; raises ResolutionGraphTooLarge past max_pairs candidate pairs."""
+    literal; raises ResolutionGraphTooLarge past max_pairs candidate pairs.
+    For clauses with literal sets Li, Lj and variable sets Vi, Vj, neither a
+    tautology, the resolvent on v has |Li | Lj| - 2 literals over
+    |Vi | Vj| - 1 variables and is trivial iff it has more literals than
+    variables; a pair with a tautological clause goes through `resolve`."""
     clauses = _all_clauses(inst)
     # a resolvent keeps at most 2 * longest - 2 literals
     longest = max((len(cl) for cl in clauses), default=0)
     g = WeightedGraph(scale=lcm(*range(1, 2 * longest - 1)))
-    for ci in range(len(clauses)):
-        g.add_node((CLAUSE_NODE, ci))
-    pos: dict = {}
-    neg: dict = {}
-    for ci, cl in enumerate(clauses):
-        for lit in cl:
+    lit_sets = [set(cl) for cl in clauses]
+    var_sets = [{abs(l) for l in cl} for cl in clauses]
+    nodes = [(CLAUSE_NODE, ci) for ci in range(len(clauses))]
+    adj = [g.adj.setdefault(node, {}) for node in nodes]
+    pos, neg = {}, {}
+    for ci, lits in enumerate(lit_sets):
+        for lit in lits:
             (pos if lit > 0 else neg).setdefault(abs(lit), []).append(ci)
     n_pairs = 0
-    seen_pairs = set()
     for v in sorted(set(pos) & set(neg)):
         n_pairs += len(pos[v]) * len(neg[v])
         if max_pairs is not None and n_pairs > max_pairs:
@@ -124,18 +125,22 @@ def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGra
                 f"more than {max_pairs} clause pairs share complementary literals"
             )
         for ci in pos[v]:
+            li, vi = lit_sets[ci], var_sets[ci]
             for cj in neg[v]:
-                key = (ci, cj) if ci < cj else (cj, ci)
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                r = resolve(clauses[ci], clauses[cj], v)
-                if r is TAUTOLOGY:
-                    continue
-                # contradictory units resolve to the empty clause; clamp the
-                # denominator so the maximally-related pair keeps an edge
-                w = g.scale // max(len(r), 1)
-                g.add_edge((CLAUSE_NODE, key[0]), (CLAUSE_NODE, key[1]), w)
+                lj, vj = lit_sets[cj], var_sets[cj]
+                if len(li) == len(vi) and len(lj) == len(vj):
+                    n = len(li | lj) - 2
+                    if n > len(vi | vj) - 1:
+                        continue
+                else:
+                    r = resolve(clauses[ci], clauses[cj], v)
+                    if r is TAUTOLOGY:
+                        continue
+                    n = len(r)
+                # a pair met on a second variable clashes on two, so all its
+                # resolvents are trivial and each edge is set once; the empty
+                # resolvent of contradictory units is clamped to weight 1
+                adj[ci][nodes[cj]] = adj[cj][nodes[ci]] = g.scale // max(n, 1)
     return g
 
 
@@ -175,56 +180,56 @@ def modularity(g: WeightedGraph, communities: dict) -> float:
 
 
 def _one_level(adj, degs, m2, order):
-    """One pass of greedy local moves; returns (community array, moved?)."""
-    n = len(adj)
-    com = list(range(n))
+    """Greedy local moves from a FIFO queue seeded with `order`; a moved node queues
+    its neighbours outside its new community (Traag 2015). Returns (com, moved?)."""
+    com = list(range(len(adj)))
     com_tot = degs[:]
+    queue = deque(order)
+    queued = [True] * len(adj)
     moved_any = False
-    while True:
-        n_moves = 0
-        for i in order:
-            ci = com[i]
-            ncw: dict = {}
-            for j, w in adj[i].items():
-                cj = com[j]
-                ncw[cj] = ncw.get(cj, 0.0) + w
-            com_tot[ci] -= degs[i]
-            best_c = ci
-            best_gain = ncw.get(ci, 0.0) - com_tot[ci] * degs[i] / m2
-            for c in sorted(ncw):
-                gain = ncw[c] - com_tot[c] * degs[i] / m2
-                if gain > best_gain + 1e-12:
-                    best_c, best_gain = c, gain
-            com_tot[best_c] += degs[i]
-            com[i] = best_c
-            if best_c != ci:
-                n_moves += 1
-                moved_any = True
-        if n_moves == 0:
-            return com, moved_any
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        ci = com[i]
+        ncw: dict = {}
+        for j, w in adj[i].items():
+            cj = com[j]
+            ncw[cj] = ncw.get(cj, 0.0) + w
+        com_tot[ci] -= degs[i]
+        best_c = ci
+        best_gain = ncw.get(ci, 0.0) - com_tot[ci] * degs[i] / m2
+        for c in sorted(ncw):
+            gain = ncw[c] - com_tot[c] * degs[i] / m2
+            if gain > best_gain + 1e-12:
+                best_c, best_gain = c, gain
+        com_tot[best_c] += degs[i]
+        com[i] = best_c
+        if best_c != ci:
+            moved_any = True
+            for j in adj[i]:
+                if not queued[j] and com[j] != best_c:
+                    queued[j] = True
+                    queue.append(j)
+    return com, moved_any
 
 
 def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
     """Greedy modularity maximization (local moves + aggregation phases).
 
-    Deterministic for a fixed seed: nodes are visited in ascending order
-    shuffled by the seed. A graph with zero total edge weight puts every
-    node in its own community with Q = 0. Each phase's Q comes from the
-    community totals of its aggregation pass (Blondel et al. 2008).
+    Deterministic for a fixed seed: each phase queues the nodes in ascending
+    order shuffled by the seed, then requeues the neighbours of moved nodes.
+    A graph with zero total edge weight puts every node in its own community
+    with Q = 0. Each phase's Q comes from the community totals of its
+    aggregation pass (Blondel et al. 2008).
     """
     nodes = sorted(g.adj)
     if not nodes:
         raise ValueError("cannot detect communities of an empty graph")
     index = {node: i for i, node in enumerate(nodes)}
-    adj = [dict() for _ in nodes]
-    for u, nbrs in g.adj.items():
-        for v, w in nbrs.items():
-            if u < v:
-                adj[index[u]][index[v]] = adj[index[v]][index[u]] = w / g.scale
+    adj = [{index[v]: w / g.scale for v, w in g.adj[node].items()} for node in nodes]
     m2 = 2.0 * g.total_weight()
     if m2 == 0:
-        communities = {node: i for i, node in enumerate(nodes)}
-        return CommunityAssignment(communities, 0.0, (0.0,))
+        return CommunityAssignment({node: i for i, node in enumerate(nodes)}, 0.0, (0.0,))
     rng = random.Random(seed)
     loops = [0.0] * len(nodes)
     assign = list(range(len(nodes)))  # original node -> current supernode
@@ -260,12 +265,7 @@ def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
         adj, loops = new_adj, new_loops
     # contiguous ids by first appearance over the sorted node order
     remap: dict = {}
-    communities = {}
-    for i, node in enumerate(nodes):
-        c = assign[i]
-        if c not in remap:
-            remap[c] = len(remap)
-        communities[node] = remap[c]
+    communities = {node: remap.setdefault(assign[i], len(remap)) for i, node in enumerate(nodes)}
     return CommunityAssignment(communities, phase_q[-1], tuple(phase_q))
 
 
@@ -273,9 +273,7 @@ def _renumber(inst: MaxSatInstance, raw_labels, hard_raw=None):
     present = sorted(set(raw_labels))
     relabel = {c: k + 1 for k, c in enumerate(present)}
     soft = [replace(s, part=relabel[raw_labels[i]]) for i, s in enumerate(inst.soft)]
-    hard_labels = None
-    if hard_raw is not None:
-        hard_labels = [relabel.get(c, 1) for c in hard_raw]
+    hard_labels = None if hard_raw is None else [relabel.get(c, 1) for c in hard_raw]
     base = MaxSatInstance(inst.n_vars, list(inst.hard), soft, inst.top)
     return PartitionedInstance(base=base, n_part=len(present), hard_labels=hard_labels)
 

@@ -292,6 +292,19 @@ def test_cli_gen_deterministic_and_env_seed(tmp_path, capsys, monkeypatch):
         assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
+def test_cli_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "t.wcnf"
+    f.write_text(TWO_TRIANGLES_WCNF)
+    monkeypatch.setenv("UPMAX_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", str(f), "--strategy", "vig"])
+    assert exc.value.code == 2
+    assert "UPMAX_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    # an explicit --seed never reads the variable
+    code, out, _ = run_cli(capsys, "partition", str(f), "--strategy", "vig", "--seed", "3")
+    assert code == 0 and out.startswith("p pwcnf")
+
+
 def test_cli_bench_end_to_end(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

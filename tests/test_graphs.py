@@ -1,15 +1,17 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from operator import truediv
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import two_triangles_instance
 from oracles import best_modularity_partition, exact_modularity
-from partmax.cnf import MaxSatInstance, SoftClause
+from partmax.cnf import TAUTOLOGY, MaxSatInstance, SoftClause, resolve
 from partmax.encoders import (
     MscGenConfig,
     SeatingGenConfig,
@@ -170,6 +172,45 @@ def test_res_recomputed_resolvents_are_never_trivial():
                       if (a in c1 and -a in c2) or (-a in c1 and a in c2)]
         assert resolvable
         assert any(resolve(c1, c2, a) is not TAUTOLOGY for a in resolvable)
+
+
+def reference_res(clauses):
+    """scale and {(i, j): integer weight} of the resolution graph, from
+    cnf.resolve on every clause pair. A pair is decided by its lowest clashing
+    variable; for tautology-free clauses every clashing variable agrees, since
+    a pair that clashes on two variables only has trivial resolvents."""
+    longest = max((len(cl) for cl in clauses), default=0)
+    scale = lcm(*range(1, 2 * longest - 1))
+    edges = {}
+    for i, j in combinations(range(len(clauses)), 2):
+        ci, cj = clauses[i], clauses[j]
+        clash = sorted(abs(l) for l in set(ci) if -l in cj)
+        if clash:
+            r = resolve(ci, cj, clash[0])
+            if r is not TAUTOLOGY:
+                edges[(i, j)] = scale // max(len(r), 1)
+    return scale, edges
+
+
+RES_LITERALS = st.integers(1, 4).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@given(
+    clauses=st.lists(st.lists(RES_LITERALS, max_size=4).map(tuple), max_size=10),
+    n_hard=st.integers(0, 10),
+)
+@example(clauses=[(1,), (-1,), (1,), (2, 3)], n_hard=1)  # units, contradictory units
+@example(clauses=[(1, 2), (-1, -2), (1, -2)], n_hard=3)  # two clashes: tautology
+@example(clauses=[(1, 2, 3), (-1, -2, -3), (1, 2, 3), (-3, 4)], n_hard=2)  # duplicates
+@example(clauses=[(1, -2, 3, 4), (-1, 2, -3, 4)], n_hard=0)  # three clashes, one pair
+@example(clauses=[(1, -1, 2), (-1, 3), (1, -1)], n_hard=0)  # tautological clauses
+def test_res_matches_resolve_reference(clauses, n_hard):
+    hard, soft = clauses[:n_hard], [SoftClause(cl, 1) for cl in clauses[n_hard:]]
+    g = build_res(MaxSatInstance(4, hard=hard, soft=soft, top=len(soft) + 1))
+    scale, edges = reference_res(clauses)
+    assert g.scale == scale
+    assert list(g.adj) == [(C, i) for i in range(len(clauses))]
+    assert {(u[1], v[1]): w for u, v, w in g.edges()} == edges
 
 
 # ----------------------------------------------------------- communities
@@ -396,84 +437,102 @@ GOLDEN_INSTANCES = {
 BUILDS = {"vig": build_vig, "cvig": build_cvig, "res": build_res}
 
 # (instance, graph) -> (soft labels, phases, sha256 of the sorted node ->
-# community map, phase_q), recorded from the Fraction-weighted graph layer
-# with community seed 0
+# community map, phase_q, final Q of the full-sweep local moves), recorded
+# from the queue-driven local moves with community seed 0. The last field is
+# the Q that detection reached when every phase swept all nodes until none
+# moved; the queue must stay within 0.95x of it per graph, 0.99x on average.
 GOLDEN = {
     ('seating-15', 'vig'): (
-        '1 2 3 4 5 2 3 3 6 2 3 2',
-        5, 'e44b613981ceaab82e5eac813df720badfe297511671eec41665fbb121391c8a',
-        (0.300132294, 0.580574845, 0.6076391708, 0.607718511, 0.607718511),
+        '1 2 3 1 4 2 3 3 5 2 3 2',
+        5, 'fec0dc25d97cbcfa2119edcf15980cbbf8788a824c6423f22611afcc6b2e8b49',
+        (0.3001287294, 0.5781833548, 0.6046113822, 0.6050680923, 0.6050680923),
+        0.607718511,
     ),
     ('seating-15', 'cvig'): (
-        '2 1 2 3 4 2 2 3 2 3 2 3',
-        6, 'c6fb5bcd35f589ed9a4dd55a2e21f8e4e87784684981b928f7f3ddb67de30986',
-        (0.4750818543, 0.6220543537, 0.7390708192, 0.7537973305, 0.7539625925, 0.7539625925),
+        '5 4 1 1 3 2 1 4 5 4 1 4',
+        6, '3f1673b2ee58dcaff7bade8b3c44562e1f5316bafe5fa785ca27d3b55f4318ac',
+        (0.4748399314, 0.6254000553, 0.7353524179, 0.7537217782, 0.7540308687, 0.7540308687),
+        0.7539625925,
     ),
     ('seating-15', 'res'): (
-        '2 1 3 4 6 5 6 4 3 7 3 8',
-        4, '3c24d21d6904ea71f713c08c7e17d32187dabe73cd23782f4ccb2cf6ef530a6c',
-        (0.6443187335, 0.7460160028, 0.7462076775, 0.7462076775),
+        '3 2 4 1 7 6 5 1 8 9 10 8',
+        4, '6c5cdf6717ca82984e44c78f6835c0b80893228fa85c192d4fbc364d99a78036',
+        (0.5687386998, 0.7414753105, 0.7424241583, 0.7424241583),
+        0.7462076775,
     ),
     ('seating-16', 'vig'): (
-        '1 2 2 2 3 3 2 4 4 5 2 4',
-        5, 'e3d0bb6d05a6743f7a5bdfe4b8043219357f6f9d144bf7e7129cb0f71248c18d',
-        (0.3008130988, 0.6147698996, 0.6386451757, 0.638763962, 0.638763962),
+        '1 2 3 4 5 5 3 4 4 3 3 3',
+        4, 'ea59836d6f0235cdbf470e78f5e87f3c05451d888f30054ef6fda5a7a535477f',
+        (0.3002485455, 0.6260610056, 0.6440992823, 0.6440992823),
+        0.638763962,
     ),
     ('seating-16', 'cvig'): (
-        '1 3 5 4 6 3 5 5 1 2 5 4',
-        6, '5f15fc52164e509861fe76187397d69087aece02e1dea7fd078e28c9d0fa957b',
-        (0.4746240812, 0.6274624977, 0.7394351101, 0.7597121626, 0.7600134983, 0.7600134983),
+        '5 1 3 3 2 6 3 4 4 6 3 4',
+        6, 'de50ac76d4dacca62a0a60c63ce842e829c5ca4548efeea81d437f058460ff8c',
+        (0.474325941, 0.6225257965, 0.737408106, 0.7592250224, 0.759371706, 0.759371706),
+        0.7600134983,
     ),
     ('seating-16', 'res'): (
-        '1 2 2 1 4 4 2 3 7 5 7 6',
-        4, 'e2af821f17acef64e3d90b6a978ea856f6ad85551602e97b4158c28a4296a6ef',
-        (0.6066510342, 0.7584628239, 0.7585606437, 0.7585606437),
+        '1 2 2 1 3 5 2 4 8 6 8 7',
+        4, 'fa9fdd4c2bbd7c6495482410e0f41d5854fb13ad5e1376ac08e4a075d2da5b88',
+        (0.6324447441, 0.759663566, 0.7597803995, 0.7597803995),
+        0.7585606437,
     ),
     ('seating-17', 'vig'): (
-        '1 2 3 4 1 3 3 5 1 1 6 7',
-        4, '83a80b1745bc876576a6c52dc96d5b50cc1bc6f3d0b3ac7c53f541c7e500a418',
-        (0.2956905005, 0.6488806631, 0.6609431384, 0.6609431384),
+        '1 2 3 4 1 1 3 3 1 1 5 6',
+        5, '3351ccb187aa995063e7ece147aba0468fd7c05dec24379158fd919ccbe87fb2',
+        (0.2956897224, 0.6307607309, 0.6580402848, 0.6584274534, 0.6584274534),
+        0.6609431384,
     ),
     ('seating-17', 'cvig'): (
-        '1 7 5 4 1 1 6 3 1 7 8 2',
-        6, '67ad67607180c99fac0fbd523b9cbac3d0a002f74df207d8cb23fb8bd01243f6',
-        (0.4695999049, 0.6195122431, 0.7412957533, 0.7624013139, 0.7627695115, 0.7627695115),
+        '1 6 3 5 1 1 7 4 1 6 7 2',
+        6, '366409e4d02e29d53863866658f389cf57c2a94347c85dfef3f634e16b1e5b9e',
+        (0.4694160725, 0.620350025, 0.7413683664, 0.7617770321, 0.7617834802, 0.7617834802),
+        0.7627695115,
     ),
     ('seating-17', 'res'): (
-        '4 1 3 2 6 6 5 7 9 1 8 7',
-        3, '58466918e1d911176ecfba6b035ee649e316cbe3e18fd7563af9586487fce78d',
-        (0.6836155381, 0.7690058846, 0.7690058846),
+        '2 1 1 1 5 5 4 3 8 6 7 6',
+        4, '0c76a03b6ece0f306cc37326de44d0d7c493ad2204948c18126f9073fa31fce1',
+        (0.6728535427, 0.7685370429, 0.7697301318, 0.7697301318),
+        0.7690058846,
     ),
     ('msc-8', 'vig'): (
         '1 1 1 1 1 1 1 1 2 2 2 2 2 2 2 2 3 3 3 3 4 4 4 4 3 3 3 3 2 2 2 2',
         3, '32cba6adca8eca0e90fcfb8ab71e2d4f05f6dd3f22fc17536175b7fb0a26119d',
         (0.4328, 0.4674, 0.4674),
+        0.4674,
     ),
     ('msc-8', 'cvig'): (
         '1 1 1 1 2 2 2 2 3 3 3 3 4 4 4 4 5 5 5 5 6 6 6 6 7 7 7 7 8 8 8 8',
-        3, 'ee1468cb2f9b506cd53c5dabc43a204753f5b462bcb8e90af4dbca81c1f6c440',
-        (0.5745379936, 0.707587236, 0.707587236),
+        3, '537699a42e8b2e1478a7abd638e3b92a2ad03941300ee923c41bf05b9cd60e85',
+        (0.5744949495, 0.7075585399, 0.7075585399),
+        0.707587236,
     ),
     ('msc-8', 'res'): (
         '1 1 1 1 2 2 2 2 3 3 3 3 4 4 4 4 5 5 5 5 6 6 6 6 5 5 5 5 7 7 7 7',
         3, 'bc018dd18170b9acdd6612be95287ad2946c7363384ee17682a3f6eb957dc506',
         (0.5355711162, 0.5484824032, 0.5484824032),
+        0.5484824032,
     ),
     ('msc-9', 'vig'): (
         '1 1 1 1 2 2 2 2 1 1 1 1 3 3 3 3 2 2 2 2 3 3 3 3 4 4 4 4 5 5 5 5 3 3 3 3',
         3, '5c8e6db3c30e9bb322545ec0397d0b465cbd4779fc388b0eb4da42ecab15b94d',
         (0.4748012927, 0.534369814, 0.534369814),
+        0.534369814,
     ),
     ('msc-9', 'cvig'): (
         '1 1 1 1 2 2 2 2 3 3 3 3 4 4 4 4 5 5 5 5 6 6 6 6 7 7 7 7 8 8 8 8 9 9 9 9',
-        3, '81c0d530351cc4895fcd3d18ec9ce265bc19f280ac22a42a07b0bd0dadaab7d4',
-        (0.5822075652, 0.7347303047, 0.7347303047),
+        3, '8dca1270f1ba3d806b1e09582c6be29d332a6beafb820683a22e5dff0e5d7704',
+        (0.5821219864, 0.7344857939, 0.7344857939),
+        0.7347303047,
     ),
     ('msc-9', 'res'): (
         '1 1 1 1 2 2 2 2 1 1 1 1 3 3 3 3 4 4 4 4 3 3 3 3 4 4 4 4 5 5 5 5 3 3 3 3',
         3, 'f460b0840fdfd8874e0de5fce8f9d3ba035f74b69172ffe35f0250911600a644',
         (0.564410323, 0.5897611496, 0.5897611496),
+        0.5897611496,
     ),
+
 }
 
 
@@ -481,14 +540,26 @@ GOLDEN = {
 def test_partitions_match_golden_labels(name):
     inst = GOLDEN_INSTANCES[name]()
     for kind, build in BUILDS.items():
-        labels, n_phases, digest, phase_q = GOLDEN[(name, kind)]
+        labels, n_phases, digest, phase_q, sweep_q = GOLDEN[(name, kind)]
         ca = detect_communities(build(inst), seed=0)
+        assert ca.q >= 0.95 * sweep_q, kind
         pinst = derive_partitions(inst, ca, kind)
         assert " ".join(str(s.part) for s in pinst.base.soft) == labels, kind
         assert len(ca.phase_q) == n_phases, kind
         sorted_map = repr(sorted(ca.communities.items())).encode()
         assert hashlib.sha256(sorted_map).hexdigest() == digest, kind
         assert ca.phase_q == pytest.approx(phase_q, abs=1e-9), kind
+
+
+def test_golden_q_mean_not_below_full_sweep():
+    qs, sweep_qs = [], []
+    for name, make in GOLDEN_INSTANCES.items():
+        inst = make()
+        for kind, build in BUILDS.items():
+            qs.append(detect_communities(build(inst), seed=0).q)
+            sweep_qs.append(GOLDEN[(name, kind)][4])
+    assert len(qs) == len(GOLDEN) == 15
+    assert sum(qs) >= 0.99 * sum(sweep_qs)
 
 
 def test_detected_q_matches_exact_modularity_on_weighted_graphs():

@@ -4,6 +4,8 @@ sizes that still run every algorithm and print a result."""
 import os
 import runpy
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -31,3 +33,13 @@ def test_desk_bench_prints_solved_count_tables(tmp_path, monkeypatch, capsys):
         header, *rows = table.splitlines()
         assert header.split() == ["alg", "none", "user", "vig", "cvig", "res", "random:16"]
         assert [row.split()[0] for row in rows] == ["lsu", "msu3", "oll", "wbo"]
+
+
+def test_scripts_reject_a_malformed_env_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("UPMAX_SEED", "abc")
+    for name, argv in (("partition_trend.py", ["--count", "1"]), ("desk_bench.py", ["--out-dir", "out"])):
+        with pytest.raises(SystemExit) as exc:
+            run_script(name, argv)
+        assert exc.value.code == 2, name
+        assert "UPMAX_SEED must be an integer" in capsys.readouterr().err, name
