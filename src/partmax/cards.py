@@ -1,9 +1,10 @@
 """Cardinality and pseudo-Boolean CNF encodings.
 
 Sequential-counter (Sinz) encodings back the problem encoders' hard
-constraints; the totalizer and its weighted generalization back the
-solver-side bounds, where incremental tightening and structure merging are
-needed.
+constraints. The generalized totalizer (Joshi, Martins & Manquinho, CP
+2015) backs the solver-side bounds, where incremental tightening and
+structure merging are needed; the unary totalizer (Bailleux & Boufkhad,
+CP 2003) is its unit-weight case, built by the same merge tree.
 """
 
 from __future__ import annotations
@@ -65,63 +66,41 @@ def encode_at_least_k(lits, k: int, alloc: VarAllocator) -> list:
     return encode_at_most_k([-l for l in lits], n - k, alloc)
 
 
-class Totalizer:
-    """Unary counter over input literals: if j inputs are true, outputs
-    1..j are implied true (one-sided implication).
-
-    An upper bound b is enforced by assuming, or adding as a unit, the
-    negation of output b+1; tightening the bound later needs no new clauses.
-    """
-
-    __slots__ = ("outputs",)
-
-    def __init__(self, inputs, alloc: VarAllocator, emit):
-        inputs = list(inputs)
-        if not inputs:
-            raise ValueError("totalizer needs at least one input")
-        self.outputs = _tot_build(inputs, alloc, emit)
-
-    @property
-    def size(self) -> int:
-        return len(self.outputs)
-
-    def output(self, j: int) -> int:
-        """1-based: the literal implied true when at least j inputs are true."""
-        return self.outputs[j - 1]
-
-    def at_most_assumptions(self, k: int) -> tuple:
-        """Assumption literals enforcing at most k true inputs."""
-        if k >= self.size:
-            return ()
-        return (-self.outputs[k],)
-
-
-def _tot_build(lits, alloc, emit):
-    if len(lits) == 1:
-        return [lits[0]]
-    mid = len(lits) // 2
-    left = _tot_build(lits[:mid], alloc, emit)
-    right = _tot_build(lits[mid:], alloc, emit)
-    outs = [alloc.fresh() for _ in range(len(left) + len(right))]
-    for i in range(len(left) + 1):
-        for j in range(len(right) + 1):
-            if i + j == 0:
-                continue
-            cl = []
-            if i:
-                cl.append(-left[i - 1])
-            if j:
-                cl.append(-right[j - 1])
-            cl.append(outs[i + j - 1])
-            emit(tuple(cl))
+def _merge(a: dict, b: dict, alloc: VarAllocator, emit, cap) -> dict:
+    """Merge two {sum: literal} nodes, both in ascending sum order, into a
+    node with one fresh output per reachable sum (sums >= cap collapse into
+    cap). A left sum or none plus a right sum or none implies their total."""
+    if not a or not b:
+        return dict(a or b)
+    sums = set(a) | set(b) | {wa + wb for wa in a for wb in b}
+    if cap is not None:
+        sums = {min(w, cap) for w in sums}
+    outs = {w: alloc.fresh() for w in sorted(sums)}
+    top = max(outs)  # every total at or above top has output top
+    for wb, lb in b.items():
+        emit((-lb, outs[wb]))
+    for wa, la in a.items():
+        emit((-la, outs[wa]))
+        for wb, lb in b.items():
+            w = wa + wb
+            emit((-la, -lb, outs[w if w < top else top]))
     return outs
 
 
-class GenTotalizer:
-    """Weighted totalizer: one output literal per reachable subset-sum of
-    the input weights (one-sided, like Totalizer).
+def _tree(nodes: list, alloc: VarAllocator, emit, cap) -> dict:
+    """Balanced merge tree over leaf nodes, left len // 2 leaves first."""
+    if len(nodes) == 1:
+        return nodes[0]
+    mid = len(nodes) // 2
+    left = _tree(nodes[:mid], alloc, emit, cap)
+    right = _tree(nodes[mid:], alloc, emit, cap)
+    return _merge(left, right, alloc, emit, cap)
 
-    Supports growing the input set and merging with another structure built
+
+class GenTotalizer:
+    """Generalized totalizer: one output literal per reachable sum of the
+    input weights, implied true once the true inputs reach that sum
+    (one-sided). It can grow its inputs and absorb another structure built
     over the same solver, which is what partition merging needs. An optional
     cap collapses all sums >= cap into a single overflow output.
     """
@@ -132,51 +111,45 @@ class GenTotalizer:
         self.alloc = alloc
         self.emit = emit
         self.cap = cap
-        self.outs: dict = {}
-
-    def _capped(self, w: int) -> int:
-        return w if self.cap is None else min(w, self.cap)
+        self.outs: dict = {}  # sum -> output literal, in ascending sum order
 
     def add_inputs(self, weighted_lits) -> None:
         """Extend the structure with (literal, weight) pairs, weight >= 1."""
+        cap = self.cap
         nodes = []
         for lit, w in weighted_lits:
             if w < 1:
                 raise ValueError(f"weight must be >= 1, got {w}")
-            nodes.append({self._capped(w): lit})
-        while len(nodes) > 1:
-            nxt = [self._merge(nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
-            if len(nodes) % 2:
-                nxt.append(nodes[-1])
-            nodes = nxt
-        if not nodes:
-            return
-        self.outs = self._merge(self.outs, nodes[0]) if self.outs else nodes[0]
+            nodes.append({w if cap is None else min(w, cap): lit})
+        if nodes:
+            node = _tree(nodes, self.alloc, self.emit, cap)
+            self.outs = _merge(self.outs, node, self.alloc, self.emit, cap)
 
     def merge_from(self, other: "GenTotalizer") -> None:
-        if other.outs:
-            self.outs = self._merge(self.outs, other.outs) if self.outs else dict(other.outs)
-
-    def _merge(self, a: dict, b: dict) -> dict:
-        sums = set(a) | set(b)
-        for wa in a:
-            for wb in b:
-                sums.add(self._capped(wa + wb))
-        outs = {w: self.alloc.fresh() for w in sorted(sums)}
-        for wa, la in a.items():
-            self.emit((-la, outs[wa]))
-        for wb, lb in b.items():
-            self.emit((-lb, outs[wb]))
-        for wa, la in a.items():
-            for wb, lb in b.items():
-                self.emit((-la, -lb, outs[self._capped(wa + wb)]))
-        return outs
+        self.outs = _merge(self.outs, other.outs, self.alloc, self.emit, self.cap)
 
     def bound_assumptions(self, bound: int) -> tuple:
         """Assumption literals forbidding any total weight above bound."""
-        return tuple(-lit for w, lit in sorted(self.outs.items()) if w > bound)
+        return tuple(-lit for w, lit in self.outs.items() if w > bound)
 
     def next_weight_above(self, bound: int):
         """Smallest reachable sum strictly above bound, or None."""
-        above = [w for w in self.outs if w > bound]
-        return min(above) if above else None
+        return next((w for w in self.outs if w > bound), None)
+
+
+class Totalizer(GenTotalizer):
+    """Unary totalizer, the unit-weight case: outs[j] is implied once j
+    inputs are true, so assuming -outs[b + 1] enforces at most b. The class
+    exists only because oll builds one per core and the benchmark tracer
+    patches Totalizer.__init__; it never calls add_inputs, so the tracer
+    sees one span per build and counts its variables once.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, inputs, alloc: VarAllocator, emit):
+        super().__init__(alloc, emit)
+        leaves = [{1: lit} for lit in inputs]
+        if not leaves:
+            raise ValueError("totalizer needs at least one input")
+        self.outs = _tree(leaves, alloc, emit, None)

@@ -5,7 +5,8 @@ automatic strategy), encode (problem parameters -> pwcnf), gen (random
 corpus + manifest), bench (matrix run -> CSV/summary/cactus/scatter).
 
 The seed defaults to the UPMAX_SEED environment variable, then 0; a value
-that is not an integer is a usage error.
+that is not an integer is a usage error, as are --timeout below 0 and
+--jobs or --mem-limit-mb below 1.
 """
 
 from __future__ import annotations
@@ -49,29 +50,44 @@ def _add_seed(parser) -> None:
     )
 
 
-def _read(path: str):
-    with open(path, "rb") as fh:
-        return detect_and_parse(fh.read())
+def _file_error(path: str, exc: Exception) -> int:
+    """Print `error: <path>: <reason>`; returns exit code 1."""
+    reason = getattr(exc, "strerror", None) or exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 1
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _load(args):
+    """Read args.file and partition it per args.strategy. Returns
+    (instance, 0), or (None, exit code) once the error is printed: 1 for an
+    unreadable or malformed file, 2 for an unusable strategy."""
+    try:
+        with open(args.file, "rb") as fh:
+            kind, parsed = detect_and_parse(fh.read())
+        return bench_mod.apply_strategy(kind, parsed, args.strategy, seed=args.seed), 0
+    except (OSError, ParseError) as exc:
+        return None, _file_error(args.file, exc)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+
+
+def _write_out(text: str, out: str | None) -> int:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _file_error(out, exc)
+    return 0
 
 
 def cmd_solve(args) -> int:
-    try:
-        kind, parsed = _read(args.file)
-        pinst = bench_mod.apply_strategy(kind, parsed, args.strategy, seed=args.seed)
-    except ParseError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pinst, code = _load(args)
+    if pinst is None:
+        return code
     res = solve_instance(pinst, args.alg, budget=args.timeout)
     print(f"c partitions: {pinst.n_part}")
     print(f"c sat_calls: {res.stats.sat_calls}")
@@ -82,17 +98,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    try:
-        kind, parsed = _read(args.file)
-        pinst = bench_mod.apply_strategy(kind, parsed, args.strategy, seed=args.seed)
-    except ParseError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_out(write_pwcnf(pinst), args.output)
-    return 0
+    pinst, code = _load(args)
+    if pinst is None:
+        return code
+    return _write_out(write_pwcnf(pinst), args.output)
 
 
 def _parse_edges(spec: str):
@@ -136,8 +145,7 @@ def cmd_encode(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(write_pwcnf(pinst), args.output)
-    return 0
+    return _write_out(write_pwcnf(pinst), args.output)
 
 
 def cmd_gen(args) -> int:
@@ -172,6 +180,11 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    for flag, names in (("--algs", algs), ("--strategies", strategies)):
+        twice = sorted({x for x in names if names.count(x) > 1})
+        if twice:
+            print(f"error: {flag} lists {', '.join(twice)} more than once", file=sys.stderr)
+            return 2
     for a in algs:
         if a not in ALGS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
@@ -199,11 +212,12 @@ def cmd_bench(args) -> int:
                 print(f"error: scatter side {':'.join(cfg)!r} is not in --algs x --strategies", file=sys.stderr)
                 return 2
         scatters.append((cfg_a, cfg_b))
-    corpus = sorted(
-        os.path.join(args.corpus, f)
-        for f in os.listdir(args.corpus)
-        if f.endswith((".wcnf", ".pwcnf"))
-    )
+    try:
+        names = os.listdir(args.corpus)
+    except OSError as exc:
+        _file_error(args.corpus, exc)
+        return 2
+    corpus = sorted(os.path.join(args.corpus, f) for f in names if f.endswith((".wcnf", ".pwcnf")))
     if not corpus:
         print(f"error: no .wcnf/.pwcnf files in {args.corpus}", file=sys.stderr)
         return 2
@@ -314,6 +328,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "seed" in vars(args) and args.seed is None:
         args.seed = env_seed(parser)
+    for name, low in (("timeout", 0), ("jobs", 1), ("mem_limit_mb", 1)):
+        value = vars(args).get(name)
+        if value is not None and not value >= low:  # NaN fails too
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
     return args.func(args)
 
 

@@ -224,14 +224,14 @@ class _OllEngine:
                 del pool[l]
             if l in cards:
                 t, j = cards[l]
-                if j + 1 <= t.size:
-                    nxt = -t.output(j + 1)
+                if j + 1 in t.outs:
+                    nxt = -t.outs[j + 1]
                     pool[nxt] = pool.get(nxt, 0) + w_star
                     cards[nxt] = (t, j + 1)
             rels.append(-l)
         if len(rels) > 1:
             t = Totalizer(rels, run.alloc, run.emit)
-            lit = -t.output(2)
+            lit = -t.outs[2]
             pool[lit] = pool.get(lit, 0) + w_star
             cards[lit] = (t, 2)
         return w_star
@@ -307,12 +307,10 @@ def _lsu_search(run: _Run, t0: float) -> SolveResult:
         return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
     tot = GenTotalizer(run.alloc, run.emit, cap=run.best_cost)
     tot.add_inputs([(run.guards[i], s.weight) for i, s in enumerate(run.inst.soft)])
-    forbidden = set()
     while True:
-        for w, lit in sorted(tot.outs.items()):
-            if w > run.best_cost - 1 and w not in forbidden:
-                run.emit((-lit,))
-                forbidden.add(w)
+        # a unit repeated from an earlier round is already true at the root
+        for lit in tot.bound_assumptions(run.best_cost - 1):
+            run.emit((lit,))
         if not run.sat(()).sat:
             return _result(run, Status.OPTIMUM, run.best_cost, run.best_model, run.best_cost, t0)
         run.stats.bound_trace.append(run.best_cost)

@@ -249,7 +249,7 @@ def test_criterion_6_encoding_equivalence():
         tot_clauses = []
         tot = Totalizer(lits, VarAllocator(n), tot_clauses.append)
         for k in range(0, n + 1):
-            bound = list(tot.at_most_assumptions(k))
+            bound = list(tot.bound_assumptions(k))
             for values in _assignments(n):
                 got = projection_satisfiable(tot_clauses, _fixed(lits, values) + bound)
                 assert got == (sum(values) <= k), (n, k, values)

@@ -397,3 +397,59 @@ def test_cli_bench_rejects_scatter_outside_matrix_before_running(tmp_path, capsy
     assert code == 2
     assert "'oll:vig' is not in" in err
     assert not (out_dir / "results.csv").exists()
+
+
+def test_cli_missing_files_are_reported_without_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "nope.wcnf")
+    code, _, err = run_cli(capsys, "solve", missing)
+    assert code == 1
+    assert err.startswith(f"error: {missing}: ") and "Traceback" not in err
+    f = tmp_path / "t.wcnf"
+    f.write_text(TWO_TRIANGLES_WCNF)
+    out = str(tmp_path / "missing_dir" / "x.pwcnf")
+    code, _, err = run_cli(capsys, "partition", str(f), "--strategy", "vig", "-o", out)
+    assert code == 1
+    assert err.startswith(f"error: {out}: ")
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(
+        capsys, "bench", "--corpus", str(tmp_path / "no_corpus"), "--out-dir", str(out_dir)
+    )
+    assert code == 2
+    assert "no_corpus" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--algs", "oll,wbo,oll", "--strategies", "none"), "--algs lists oll more than once"),
+        (("--algs", "oll", "--strategies", "none,none"), "--strategies lists none more than once"),
+    ],
+)
+def test_cli_bench_rejects_duplicate_entries_before_running(tmp_path, capsys, argv, message):
+    code, err, out_dir = _bench_one_instance(tmp_path, capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert not (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{f}", "--timeout", "-1"],
+        ["bench", "--corpus", "{c}", "--out-dir", "{o}", "--timeout", "-1"],
+        ["bench", "--corpus", "{c}", "--out-dir", "{o}", "--timeout", "nan"],
+        ["bench", "--corpus", "{c}", "--out-dir", "{o}", "--jobs", "0"],
+        ["bench", "--corpus", "{c}", "--out-dir", "{o}", "--mem-limit-mb", "-5"],
+    ],
+)
+def test_cli_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "one.pwcnf").write_text(TWO_TRIANGLES_PWCNF)
+    paths = {"f": corpus / "one.pwcnf", "c": corpus, "o": tmp_path / "r"}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    assert exc.value.code == 2
+    assert "must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

@@ -119,14 +119,14 @@ def build_totalizer(lits, reserved=None):
 def test_totalizer_single_input_is_identity():
     tot, clauses = build_totalizer([5], reserved=5)
     assert clauses == []
-    assert tot.outputs == [5]
-    assert tot.at_most_assumptions(0) == (-5,)
-    assert tot.at_most_assumptions(1) == ()
+    assert list(tot.outs.values()) == [5]
+    assert tot.bound_assumptions(0) == (-5,)
+    assert tot.bound_assumptions(1) == ()
 
 
 def test_totalizer_two_true_inputs_imply_both_outputs():
     tot, clauses = build_totalizer([1, 2])
-    o1, o2 = tot.outputs
+    o1, o2 = list(tot.outs.values())
     # entailment via the independent DPLL: clauses + inputs + negated output
     assert not projection_satisfiable(clauses, [1, 2, -o1])
     assert not projection_satisfiable(clauses, [1, 2, -o2])
@@ -136,7 +136,7 @@ def test_totalizer_two_true_inputs_imply_both_outputs():
 @pytest.mark.parametrize("k", range(0, 5))
 def test_totalizer_bound_matches_predicate_n4(k):
     tot, clauses = build_totalizer([1, 2, 3, 4])
-    bound = list(tot.at_most_assumptions(k))
+    bound = list(tot.bound_assumptions(k))
     for values in assignments(4):
         want = sum(values) <= k
         got = projection_satisfiable(clauses, fixed_lits([1, 2, 3, 4], values) + bound)
@@ -150,9 +150,9 @@ def test_totalizer_monotone_bound_tightening():
         tight = set()
         for values in assignments(4):
             fixed = fixed_lits([1, 2, 3, 4], values)
-            if projection_satisfiable(clauses, fixed + list(tot.at_most_assumptions(k))):
+            if projection_satisfiable(clauses, fixed + list(tot.bound_assumptions(k))):
                 loose.add(values)
-            if projection_satisfiable(clauses, fixed + list(tot.at_most_assumptions(k - 1))):
+            if projection_satisfiable(clauses, fixed + list(tot.bound_assumptions(k - 1))):
                 tight.add(values)
         assert tight <= loose
 
@@ -164,6 +164,35 @@ def test_totalizer_fresh_variable_hygiene():
     for cl in clauses:
         for lit in cl:
             assert abs(lit) in (1, 4, 9) or abs(lit) > 9
+
+
+# Clause list of the recursive unary totalizer that oll's encoding was
+# recorded with: 5 inputs over variables 1..5, outputs 13..17 for sums 1..5.
+TOTALIZER_5_CLAUSES = [
+    (-2, 6), (-1, 6), (-1, -2, 7), (-5, 8), (-4, 8), (-4, -5, 9),
+    (-8, 10), (-9, 11), (-3, 10), (-3, -8, 11), (-3, -9, 12),
+    (-10, 13), (-11, 14), (-12, 15), (-6, 13), (-6, -10, 14), (-6, -11, 15),
+    (-6, -12, 16), (-7, 14), (-7, -10, 15), (-7, -11, 16), (-7, -12, 17),
+]
+
+
+def test_totalizer_pins_recorded_clause_list():
+    tot, clauses = build_totalizer([1, 2, 3, 4, 5])
+    assert clauses == TOTALIZER_5_CLAUSES
+    assert tot.outs == {1: 13, 2: 14, 3: 15, 4: 16, 5: 17}
+
+
+@given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=12, unique=True),
+       st.lists(st.booleans(), min_size=12, max_size=12))
+def test_totalizer_is_unit_weight_gen_totalizer(variables, signs):
+    lits = [v if s else -v for v, s in zip(variables, signs)]
+    tot_clauses, gen_clauses = [], []
+    tot = Totalizer(lits, VarAllocator(20), tot_clauses.append)
+    gen = GenTotalizer(VarAllocator(20), gen_clauses.append)
+    gen.add_inputs((l, 1) for l in lits)
+    assert tot_clauses == gen_clauses
+    assert tot.outs == gen.outs
+    assert list(tot.outs) == list(range(1, len(lits) + 1))
 
 
 # --------------------------------------------------- weighted totalizer
