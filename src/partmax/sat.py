@@ -1,11 +1,10 @@
 """Incremental CDCL SAT solver with assumptions and unsat-core extraction.
 
-Standard architecture: two-watched-literal propagation (with a dedicated
-movement-free path for binary clauses), first-UIP conflict analysis with
-recursive clause minimization, activity-based branching with exponential
-decay, phase saving (initial polarity false), Luby restarts, and periodic
-deletion of the learned clauses with the highest LBD (literal block
-distance: the number of distinct decision levels among a clause's
+Standard architecture: two-watched-literal propagation, first-UIP conflict
+analysis with recursive clause minimization, activity-based branching with
+exponential decay, phase saving (initial polarity false), Luby restarts,
+and periodic deletion of the learned clauses with the highest LBD (literal
+block distance: the number of distinct decision levels among a clause's
 literals when it was learned). The solver is fully deterministic: there is
 no randomized tie-breaking, the lowest variable index wins.
 
@@ -76,13 +75,12 @@ class Solver:
         # indexed by literal code
         self.vals = [0, 0]
         self.watches: list = [[], []]
-        # binary clauses get a movement-free watch scheme: entries are
-        # (other literal, clause), visited when the key literal turns false
-        self.bin_watches: list = [[], []]
         self.trail: list = []
         self.trail_lim: list = []
         self.qhead = 0
-        self.clauses: list = []
+        # every clause of 2+ literals is watched by its first two; the
+        # implied literal of a reason clause is its first
+        self.clauses: list = []  # originals and binary learnts, never deleted
         self.learnts: list = []  # (lbd, clause) per learnt of 3+ literals, oldest first
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
@@ -110,8 +108,6 @@ class Solver:
             self.vals.extend((0, 0))
             self.watches.append([])
             self.watches.append([])
-            self.bin_watches.append([])
-            self.bin_watches.append([])
             heappush(self._heap, (0.0, self.n_vars))
 
     def add_clause(self, lits) -> bool:
@@ -149,10 +145,6 @@ class Solver:
             if self._propagate() is not None:
                 self.ok = False
             return self.ok
-        if len(cl) == 2:
-            self.bin_watches[cl[0]].append((cl[1], cl))
-            self.bin_watches[cl[1]].append((cl[0], cl))
-            return True
         self.clauses.append(cl)
         self.watches[cl[0]].append(cl)
         self.watches[cl[1]].append(cl)
@@ -195,7 +187,7 @@ class Solver:
 
     def _propagate(self):
         trail, vals, watches = self.trail, self.vals, self.watches
-        bwatches, level, reason = self.bin_watches, self.level, self.reason
+        level, reason = self.level, self.reason
         qhead = self.qhead
         dl = len(self.trail_lim)
         nprops = 0
@@ -205,23 +197,6 @@ class Solver:
             qhead += 1
             nprops += 1
             f = p ^ 1  # the literal that just became false
-            for other, cl in bwatches[f]:
-                w = vals[other]
-                if w == 0:
-                    if cl[0] != other:
-                        cl[0], cl[1] = cl[1], cl[0]
-                    vals[other] = 1
-                    vals[other ^ 1] = -1
-                    v = other >> 1
-                    level[v] = dl
-                    reason[v] = cl
-                    trail.append(other)
-                elif w == -1:
-                    confl = cl
-                    qhead = len(trail)
-                    break
-            if confl is not None:
-                break
             ws = watches[f]
             if not ws:
                 continue
@@ -396,11 +371,9 @@ class Solver:
             self._enqueue(learnt[0], None)
             return
         if len(learnt) == 2:
-            self.bin_watches[learnt[0]].append((learnt[1], learnt))
-            self.bin_watches[learnt[1]].append((learnt[0], learnt))
-            self._enqueue(learnt[0], learnt)
-            return
-        self.learnts.append((lbd, learnt))
+            self.clauses.append(learnt)
+        else:
+            self.learnts.append((lbd, learnt))
         self.watches[learnt[0]].append(learnt)
         self.watches[learnt[1]].append(learnt)
         self._enqueue(learnt[0], learnt)
