@@ -402,19 +402,8 @@ class Solver:
             self.watches[cl[1]].append(cl)
 
     def _search(self, assumps):
-        restarts = 0
-        while True:
-            budget = 100 * _luby(2, restarts)
-            out = self._search_bounded(assumps, budget)
-            if out is not None:
-                return out
-            restarts += 1
-            self.stats["restarts"] += 1
-            self._cancel_until(0)
-
-    def _search_bounded(self, assumps, budget: int):
-        local_conflicts = 0
-        loops = 0
+        restarts = local_conflicts = loops = 0
+        budget = 100 * _luby(2, restarts)
         while True:
             loops += 1
             if loops & 511 == 0:
@@ -433,7 +422,12 @@ class Solver:
                 self._var_inc *= self._var_decay
                 continue
             if local_conflicts >= budget:
-                return None
+                restarts += 1
+                self.stats["restarts"] += 1
+                self._cancel_until(0)
+                budget = 100 * _luby(2, restarts)
+                local_conflicts = loops = 0
+                continue
             if len(self.learnts) > 4000 + 1000 * self._reduces:
                 self._reduce_db()
             dl = len(self.trail_lim)
