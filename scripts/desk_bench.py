@@ -13,7 +13,7 @@ import os
 import sys
 
 from partmax import bench
-from partmax.cli import env_seed
+from partmax.cli import check_ranges, env_seed
 from partmax.encoders import (
     MscGenConfig,
     SchemeChoice,
@@ -58,6 +58,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=None, help="default: $UPMAX_SEED or 0")
     ap.add_argument("--mem-limit-mb", type=int, default=None)
     args = ap.parse_args(argv)
+    check_ranges(ap, args)
     if args.seed is None:
         args.seed = env_seed(ap)
 

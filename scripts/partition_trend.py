@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from partmax.cli import env_seed
+from partmax.cli import check_ranges, env_seed
 from partmax.cnf import PartitionedInstance
 from partmax.encoders import SchemeChoice, SeatingGenConfig, encode_seating, gen_seating
 from partmax.maxsat import Status, solve_instance
@@ -26,6 +26,7 @@ def main(argv=None) -> int:
     ap.add_argument("--max-persons", type=int, default=14)
     ap.add_argument("--tables", type=int, default=3)
     args = ap.parse_args(argv)
+    check_ranges(ap, args)
     if args.seed is None:
         args.seed = env_seed(ap, 8000)
 

@@ -6,7 +6,7 @@ corpus + manifest), bench (matrix run -> CSV/summary/cactus/scatter).
 
 The seed defaults to the UPMAX_SEED environment variable, then 0; a value
 that is not an integer is a usage error, as are --timeout below 0 and
---jobs or --mem-limit-mb below 1.
+--jobs, --mem-limit-mb or --count below 1.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ def env_seed(parser: argparse.ArgumentParser, default: int = 0) -> int:
         return int(raw)
     except ValueError:
         parser.error(f"UPMAX_SEED must be an integer, got {raw!r}")
+
+
+def check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exit 2 through parser.error when --timeout is below 0, or --jobs,
+    --mem-limit-mb or --count below 1; options that args lacks or left
+    unset are not checked."""
+    for name, low in (("timeout", 0), ("jobs", 1), ("mem_limit_mb", 1), ("count", 1)):
+        value = vars(args).get(name)
+        if value is not None and not value >= low:  # NaN fails too
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _add_seed(parser) -> None:
@@ -328,10 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "seed" in vars(args) and args.seed is None:
         args.seed = env_seed(parser)
-    for name, low in (("timeout", 0), ("jobs", 1), ("mem_limit_mb", 1)):
-        value = vars(args).get(name)
-        if value is not None and not value >= low:  # NaN fails too
-            parser.error(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    check_ranges(parser, args)
     return args.func(args)
 
 

@@ -207,8 +207,21 @@ def test_incremental_equals_fresh_solver(data):
         so_far.extend(batch)
         got = incremental.solve().sat
         assert_heap_covers_unassigned(incremental)
+        assert_watches_exact(incremental)
         fresh = make_solver(n, so_far).solve().sat
         assert got == fresh == dpll_satisfiable(so_far)
+
+
+def test_binary_chain_core_is_exactly_its_two_ends():
+    # 1 -> 2 -> ... -> 50 through binary clauses only: the refutation of
+    # [1, -50] runs along binary reasons, and the core names both ends
+    s = make_solver(50, [(-i, i + 1) for i in range(1, 50)])
+    out = s.solve(assumptions=[1, -50])
+    assert not out.sat
+    assert out.core == frozenset({1, -50})
+    out = s.solve(assumptions=[1])
+    assert out.sat
+    assert all(out.model[1:51])
 
 
 def test_statistics_exposed():
@@ -233,14 +246,14 @@ def test_root_conflict_outranks_an_expired_deadline(monkeypatch):
 
 
 def assert_watches_exact(s):
-    """Each long clause, original or learnt, is watched by exactly its first
-    two literals, and nothing else is watched."""
-    long_clauses = s.clauses + [cl for _, cl in s.learnts]
+    """Every clause of two or more literals, original or learnt, is watched
+    by exactly its first two literals, and nothing else is watched."""
+    clauses = s.clauses + [cl for _, cl in s.learnts]
     watched = [(code, cl) for code, ws in enumerate(s.watches) for cl in ws]
-    assert len(watched) == 2 * len(long_clauses)
+    assert len(watched) == 2 * len(clauses)
     for code, cl in watched:
         assert code in (cl[0], cl[1])
-    for cl in long_clauses:
+    for cl in clauses:
         assert any(w is cl for w in s.watches[cl[0]])
         assert any(w is cl for w in s.watches[cl[1]])
 
@@ -259,7 +272,12 @@ def test_learnt_reduction_keeps_locked_clauses_and_watches():
         # give locked clauses the worst LBD, so only their lock keeps them
         s.learnts = [(n + 1 if id(cl) in locked else lbd, cl) for lbd, cl in s.learnts]
         before = list(s.learnts)
+        binaries = [cl for cl in s.clauses if len(cl) == 2]
         reduce_db()
+        # binary learnts live in s.clauses, which reduction never touches
+        assert all(len(cl) >= 3 for _, cl in s.learnts)
+        kept_clauses = {id(cl) for cl in s.clauses}
+        assert all(id(cl) in kept_clauses for cl in binaries)
         kept = {id(cl) for _, cl in s.learnts}
         dropped = [lbd for lbd, cl in before if id(cl) not in kept]
         assert 0 < len(dropped) <= len(before) // 2

@@ -43,3 +43,26 @@ def test_scripts_reject_a_malformed_env_seed(tmp_path, monkeypatch, capsys):
             run_script(name, argv)
         assert exc.value.code == 2, name
         assert "UPMAX_SEED must be an integer" in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("desk_bench.py", ["--count", "1", "--jobs", "0"], "--jobs must be >= 1"),
+        ("desk_bench.py", ["--count", "1", "--timeout", "-1"], "--timeout must be >= 0"),
+        ("desk_bench.py", ["--count", "0"], "--count must be >= 1"),
+        ("desk_bench.py", ["--count", "1", "--mem-limit-mb", "0"], "--mem-limit-mb must be >= 1"),
+        ("partition_trend.py", ["--count", "2", "--timeout", "-1"], "--timeout must be >= 0"),
+        ("partition_trend.py", ["--count", "-1"], "--count must be >= 1"),
+    ],
+)
+def test_scripts_reject_out_of_range_numbers(tmp_path, monkeypatch, capsys, name, argv, message):
+    monkeypatch.chdir(tmp_path)
+    if name == "desk_bench.py":
+        argv = ["--out-dir", "out", *argv]
+    with pytest.raises(SystemExit) as exc:
+        run_script(name, argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
