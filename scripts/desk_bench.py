@@ -21,9 +21,6 @@ from partmax.encoders import (
     generate_corpus,
 )
 
-ALGS = ["lsu", "msu3", "oll", "wbo"]
-STRATEGIES = ["none", "user", "vig", "cvig", "res", "random:16"]
-
 
 def run_family(name, cfg, scheme, args):
     corpus_dir = os.path.join(args.out_dir, f"{name}_corpus")
@@ -31,8 +28,8 @@ def run_family(name, cfg, scheme, args):
     print(f"[{name}] generated {len(paths)} instances in {corpus_dir}")
     records = bench.run_benchmark(
         paths,
-        ALGS,
-        STRATEGIES,
+        bench.ALGS,
+        bench.DEFAULT_STRATEGIES,
         timeout=args.timeout,
         jobs=args.jobs,
         seed=args.seed,
@@ -40,8 +37,8 @@ def run_family(name, cfg, scheme, args):
     )
     table = bench.write_reports(
         records,
-        ALGS,
-        STRATEGIES,
+        bench.ALGS,
+        bench.DEFAULT_STRATEGIES,
         os.path.join(args.out_dir, name),
         [(("wbo", "user"), ("wbo", "none"))],
     )

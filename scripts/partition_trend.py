@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Compare one algorithm with and without a partitioning strategy on a
 generated seating corpus: solved counts and total time under a timeout.
+The corpus goes to a temporary directory and runs through the bench harness.
 
 Example:
     python3 scripts/partition_trend.py --count 100 --timeout 60
@@ -8,12 +9,14 @@ Example:
 
 import argparse
 import sys
+import tempfile
 import time
 
+from partmax import bench
 from partmax.cli import check_ranges, env_seed
-from partmax.cnf import PartitionedInstance
-from partmax.encoders import SchemeChoice, SeatingGenConfig, encode_seating, gen_seating
-from partmax.maxsat import Status, solve_instance
+from partmax.encoders import SchemeChoice, SeatingGenConfig, generate_corpus
+
+LABELS = {"user": "table-partitions", "none": "no partitions"}
 
 
 def main(argv=None) -> int:
@@ -36,24 +39,16 @@ def main(argv=None) -> int:
         min_tag_universe=4, max_tag_universe=5,
         min_tags_per_person=1, max_tags_per_person=2,
     )
-    solved = {"table-partitions": 0, "no partitions": 0}
-    spent = {"table-partitions": 0.0, "no partitions": 0.0}
     t0 = time.monotonic()
-    for i in range(args.count):
-        prob = gen_seating(cfg, seed=args.seed + i)
-        user = encode_seating(prob, SchemeChoice.SEAT_TABLES)
-        runs = {
-            "table-partitions": user,
-            "no partitions": PartitionedInstance.single_block(user.base),
-        }
-        for label, pinst in runs.items():
-            res = solve_instance(pinst, args.alg, budget=args.timeout)
-            solved[label] += res.status == Status.OPTIMUM
-            spent[label] += res.stats.time_s
+    with tempfile.TemporaryDirectory() as corpus_dir:
+        paths = generate_corpus("seating", cfg, args.count, SchemeChoice.SEAT_TABLES, args.seed, corpus_dir)
+        records = bench.run_benchmark(paths, [args.alg], list(LABELS), timeout=args.timeout, seed=args.seed)
+    solved = bench.solved_counts(records)
     print(f"{args.alg} on {args.count} seating instances, {args.timeout:.0f}s timeout:")
-    for label in ("table-partitions", "no partitions"):
-        print(f"  {label:17s} solved {solved[label]:4d}  total {spent[label]:7.1f}s")
-    trend = solved["table-partitions"] >= solved["no partitions"]
+    for strategy, label in LABELS.items():
+        spent = sum(r.time_s for r in records if r.strategy == strategy)
+        print(f"  {label:17s} solved {solved[args.alg, strategy]:4d}  total {spent:7.1f}s")
+    trend = solved[args.alg, "user"] >= solved[args.alg, "none"]
     print(f"  trend (partitioned >= unpartitioned): {'holds' if trend else 'fails'}")
     print(f"  wall time {time.monotonic() - t0:.1f}s")
     return 0

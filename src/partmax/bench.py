@@ -1,6 +1,7 @@
-"""Benchmark harness: run an algorithm x strategy matrix over a corpus of
-wcnf/pwcnf files in worker processes, collect per-run records, and emit
-CSV results, solved-count summary tables, cactus data and scatter data.
+"""Experiment harness: load and partition wcnf/pwcnf files, run an
+algorithm x strategy matrix over a corpus of them in worker processes,
+collect per-run records, and emit CSV results, solved-count summary
+tables, cactus data and scatter data.
 
 Timeouts are enforced inside the solver (wall clock); the optional memory
 limit is best-effort via RLIMIT_AS in each worker.
@@ -9,9 +10,9 @@ limit is best-effort via RLIMIT_AS in each worker.
 from __future__ import annotations
 
 import csv
-import io
 import multiprocessing
 import os
+import sys
 import time
 import traceback
 import warnings
@@ -25,6 +26,10 @@ from .maxsat import AlgorithmKind, Status, solve_instance
 CSV_COLUMNS = ["instance", "alg", "strategy", "status", "cost", "time_s", "sat_calls", "cores"]
 
 STRATEGIES = ("none", "user", "vig", "cvig", "res", "random")
+
+# the matrix `partmax bench` and scripts/desk_bench.py run by default
+ALGS = [a.value for a in AlgorithmKind]
+DEFAULT_STRATEGIES = ["none", "user", "vig", "cvig", "res", "random:16"]
 
 
 @dataclass
@@ -70,12 +75,18 @@ def apply_strategy(kind: str, parsed, strategy: str, seed: int = 0) -> Partition
     return partition_by_graph(base, name, seed=seed)
 
 
+def load_file(path: str, strategy: str, seed: int = 0) -> PartitionedInstance:
+    """Read and parse one wcnf/pwcnf file and partition it per strategy.
+    Raises OSError, ParseError, or ValueError for an unusable strategy."""
+    with open(path, "rb") as fh:
+        kind, parsed = detect_and_parse(fh.read())
+    return apply_strategy(kind, parsed, strategy, seed=seed)
+
+
 def solve_file(path: str, alg: str, strategy: str, timeout: float | None, seed: int = 0):
     """Parse, partition per strategy, and solve one file. Returns the
     SolveResult and the partition count used."""
-    with open(path, "rb") as fh:
-        kind, parsed = detect_and_parse(fh.read())
-    pinst = apply_strategy(kind, parsed, strategy, seed=seed)
+    pinst = load_file(path, strategy, seed)
     res = solve_instance(pinst, AlgorithmKind(alg), budget=timeout)
     return res, pinst.n_part
 
@@ -127,8 +138,9 @@ def run_benchmark(
     mem_limit_mb: int | None = None,
 ):
     """One RunRecord per (instance, algorithm, strategy), each run in one of
-    `jobs` worker processes; per-run crashes are recorded as status=error
-    and the harness continues."""
+    `jobs` worker processes; per-run crashes, and runs lost with a worker
+    process that died, are recorded as status=error and the harness
+    continues."""
     tasks = [
         (str(path), alg, strategy, timeout, seed)
         for path in sorted(corpus)
@@ -137,37 +149,35 @@ def run_benchmark(
     ]
     if not tasks:
         return []
+    # imported here, so that importing the package for the solve path does
+    # not load the process pool machinery (about 1 MB of RSS)
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     # every run is in a worker, so that the memory limit applies at any job
     # count and never to the caller's own process
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(max(jobs, 1), initializer=_set_mem_limit, initargs=(mem_limit_mb,)) as pool:
-        records = pool.map(_bench_worker, tasks)
+    with ProcessPoolExecutor(
+        max(jobs, 1), mp_context=ctx, initializer=_set_mem_limit, initargs=(mem_limit_mb,)
+    ) as pool:
+        futures = [pool.submit(_bench_worker, task) for task in tasks]
+    records = []
+    for (path, alg, strategy, _, _), fut in zip(tasks, futures):
+        try:
+            records.append(fut.result())
+        except BrokenProcessPool as exc:  # a dead worker fails every run not yet done
+            print(f"error: {path} {alg} {strategy}: {exc}", file=sys.stderr)
+            records.append(RunRecord(os.path.basename(path), alg, strategy, "error", None, 0.0, 0, 0))
     records.sort(key=lambda r: (r.instance, r.alg, r.strategy))
     return records
 
 
 def write_csv(records, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(CSV_COLUMNS)
-    for r in records:
-        w.writerow(
-            [
-                r.instance,
-                r.alg,
-                r.strategy,
-                r.status,
-                "" if r.cost is None else r.cost,
-                f"{r.time_s:.6f}",
-                r.sat_calls,
-                r.cores,
-            ]
-        )
-
-
-def records_to_csv(records) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
+    rows = (
+        [r.instance, r.alg, r.strategy, r.status, "" if r.cost is None else r.cost,
+         f"{r.time_s:.6f}", r.sat_calls, r.cores]
+        for r in records
+    )
+    write_rows_csv(rows, CSV_COLUMNS, fh)
 
 
 def solved_counts(records) -> dict:

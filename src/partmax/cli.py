@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import bench as bench_mod
 from .encoders import (
@@ -26,10 +27,8 @@ from .encoders import (
     encode_seating,
     generate_corpus,
 )
-from .formats import ParseError, detect_and_parse, write_pwcnf, write_solution
-from .maxsat import AlgorithmKind, solve_instance
-
-ALGS = [a.value for a in AlgorithmKind]
+from .formats import ParseError, write_pwcnf, write_solution
+from .maxsat import solve_instance
 
 
 def env_seed(parser: argparse.ArgumentParser, default: int = 0) -> int:
@@ -72,9 +71,7 @@ def _load(args):
     (instance, 0), or (None, exit code) once the error is printed: 1 for an
     unreadable or malformed file, 2 for an unusable strategy."""
     try:
-        with open(args.file, "rb") as fh:
-            kind, parsed = detect_and_parse(fh.read())
-        return bench_mod.apply_strategy(kind, parsed, args.strategy, seed=args.seed), 0
+        return bench_mod.load_file(args.file, args.strategy, args.seed), 0
     except (OSError, ParseError) as exc:
         return None, _file_error(args.file, exc)
     except ValueError as exc:
@@ -161,24 +158,10 @@ def cmd_encode(args) -> int:
 def cmd_gen(args) -> int:
     try:
         scheme = SchemeChoice(args.scheme)
-        if args.problem == "msc":
-            cfg = MscGenConfig(
-                min_vertices=args.min_vertices,
-                max_vertices=args.max_vertices,
-                min_density=args.min_density,
-                max_density=args.max_density,
-                min_colors=args.min_colors,
-                max_colors=args.max_colors,
-            )
-        else:
-            cfg = SeatingGenConfig(
-                min_persons=args.min_persons,
-                max_persons=args.max_persons,
-                min_tables=args.min_tables,
-                max_tables=args.max_tables,
-                min_tag_universe=args.min_tags,
-                max_tag_universe=args.max_tags,
-            )
+        # each generator option is stored under its config field's name;
+        # fields without an option keep their defaults
+        config = MscGenConfig if args.problem == "msc" else SeatingGenConfig
+        cfg = config(**{f.name: vars(args)[f.name] for f in fields(config) if f.name in vars(args)})
         paths = generate_corpus(args.problem, cfg, args.count, scheme, args.seed, args.out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -196,7 +179,7 @@ def cmd_bench(args) -> int:
             print(f"error: {flag} lists {', '.join(twice)} more than once", file=sys.stderr)
             return 2
     for a in algs:
-        if a not in ALGS:
+        if a not in bench_mod.ALGS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return 2
     for s in strategies:
@@ -251,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve a wcnf/pwcnf file")
     ps.add_argument("file")
-    ps.add_argument("--alg", choices=ALGS, default="oll")
+    ps.add_argument("--alg", choices=bench_mod.ALGS, default="oll")
     ps.add_argument(
         "--strategy",
         default="none",
@@ -310,15 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     pgs.add_argument("--max-persons", type=int, default=SeatingGenConfig.max_persons)
     pgs.add_argument("--min-tables", type=int, default=SeatingGenConfig.min_tables)
     pgs.add_argument("--max-tables", type=int, default=SeatingGenConfig.max_tables)
-    pgs.add_argument("--min-tags", type=int, default=SeatingGenConfig.min_tag_universe)
-    pgs.add_argument("--max-tags", type=int, default=SeatingGenConfig.max_tag_universe)
+    pgs.add_argument("--min-tags", type=int, dest="min_tag_universe", metavar="MIN_TAGS",
+                     default=SeatingGenConfig.min_tag_universe)
+    pgs.add_argument("--max-tags", type=int, dest="max_tag_universe", metavar="MAX_TAGS",
+                     default=SeatingGenConfig.max_tag_universe)
     _add_seed(pgs)
     pgs.set_defaults(func=cmd_gen)
 
     pb = sub.add_parser("bench", help="run an algorithm x strategy matrix over a corpus")
     pb.add_argument("--corpus", required=True)
-    pb.add_argument("--algs", default=",".join(ALGS))
-    pb.add_argument("--strategies", default="none,user,vig,cvig,res,random:16")
+    pb.add_argument("--algs", default=",".join(bench_mod.ALGS))
+    pb.add_argument("--strategies", default=",".join(bench_mod.DEFAULT_STRATEGIES))
     pb.add_argument("--timeout", type=float, default=60.0)
     pb.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     pb.add_argument("--out-dir", required=True)

@@ -84,7 +84,9 @@ class Solver:
         self.learnts: list = []  # (lbd, clause) per learnt of 3+ literals, oldest first
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
-        # (-activity, v): each unassigned v has an entry keyed by its activity
+        # (-activity, v): each unassigned v has an entry keyed by its activity.
+        # Only assigned variables are bumped, and _cancel_until pushes a fresh
+        # entry for every variable it frees, so that entry outranks older ones.
         self._heap: list = []
         self._reduces = 0
         self.stats = {
@@ -249,8 +251,6 @@ class Solver:
                 act[i] *= 1e-100
             self._var_inc *= 1e-100
             self._rebuild_heap()
-        else:
-            heappush(self._heap, (-self.activity[v], v))
 
     def _rebuild_heap(self) -> None:
         self._heap = [
@@ -357,10 +357,10 @@ class Solver:
     # ------------------------------------------------------------ search
 
     def _pick_branch(self):
-        heap, vals, activity = self._heap, self.vals, self.activity
+        heap, vals = self._heap, self.vals
         while heap:
-            na, v = heappop(heap)
-            if vals[v << 1] == 0 and -na == activity[v]:
+            _, v = heappop(heap)
+            if vals[v << 1] == 0:
                 return v
         return None  # an unassigned variable always has a current entry
 
@@ -467,7 +467,6 @@ class Solver:
             if not 1 <= abs(lit) <= self.n_vars:
                 raise ValueError(f"assumption {lit} outside allocated variables")
             codes.append(_code(lit))
-        self._cancel_until(0)
         if self.ok and self._propagate() is not None:
             self.ok = False
         if not self.ok:

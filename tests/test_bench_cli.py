@@ -1,6 +1,9 @@
 import csv
 import io
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,13 @@ from partmax.formats import parse_pwcnf
 
 ALL_ALGS = ["lsu", "msu3", "oll", "wbo"]
 ALL_STRATEGIES = ["none", "user", "vig", "cvig", "res", "random:16"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def records_to_csv(records) -> str:
+    buf = io.StringIO()
+    bench.write_csv(records, buf)
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -85,7 +95,7 @@ def test_mem_limit_applies_at_one_job(corpus_dir, tmp_path, monkeypatch):
 def test_empty_matrix_yields_empty_csv():
     records = bench.run_benchmark([], ALL_ALGS, ALL_STRATEGIES, jobs=1)
     assert records == []
-    text = bench.records_to_csv(records)
+    text = records_to_csv(records)
     assert text.strip() == ",".join(bench.CSV_COLUMNS)
 
 
@@ -104,12 +114,38 @@ def test_crash_recorded_as_error(tmp_path):
     assert [r.status for r in records] == ["error"]
 
 
+# a worker that dies takes its run with it; run_benchmark must still return
+DEAD_WORKER = """
+import os, sys
+from partmax import bench
+bench.solve_file = lambda *args: os._exit(1)
+records = bench.run_benchmark([sys.argv[1]], ["oll", "wbo"], ["none"], jobs=1)
+print(",".join(r.status for r in records))
+"""
+
+
+def test_dead_worker_recorded_as_error(corpus_dir):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", DEAD_WORKER, str(corpus_dir / "two_triangles.pwcnf")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_benchmark did not return after its worker died")
+    assert proc.returncode == 0, err
+    assert out.split() == ["error,error"]
+
+
 def test_csv_schema_and_determinism(corpus_dir):
     paths = [str(corpus_dir / "two_triangles.pwcnf")]
-    a = bench.records_to_csv(bench.run_benchmark(paths, ["msu3"], ["vig", "none"], jobs=1))
+    a = records_to_csv(bench.run_benchmark(paths, ["msu3"], ["vig", "none"], jobs=1))
     rows = list(csv.reader(io.StringIO(a)))
     assert rows[0] == ["instance", "alg", "strategy", "status", "cost", "time_s", "sat_calls", "cores"]
-    b = bench.records_to_csv(bench.run_benchmark(paths, ["msu3"], ["vig", "none"], jobs=1))
+    b = records_to_csv(bench.run_benchmark(paths, ["msu3"], ["vig", "none"], jobs=1))
     cost_a = [r[4] for r in list(csv.reader(io.StringIO(a)))[1:]]
     cost_b = [r[4] for r in list(csv.reader(io.StringIO(b)))[1:]]
     assert cost_a == cost_b
@@ -290,6 +326,17 @@ def test_cli_gen_deterministic_and_env_seed(tmp_path, capsys, monkeypatch):
     assert code == 0
     for name in os.listdir(out1):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+def test_cli_gen_seating_tag_bounds_set_the_tag_universe(tmp_path, capsys):
+    out = tmp_path / "g"
+    code, _, _ = run_cli(
+        capsys, "gen", "seating", "--count", "4", "--out-dir", str(out), "--seed", "3",
+        "--min-persons", "6", "--max-persons", "8", "--min-tags", "2", "--max-tags", "2",
+    )
+    assert code == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert [line for line in manifest if line.startswith("tags=")] == ["tags=2"] * 4
 
 
 def test_cli_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):

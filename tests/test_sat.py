@@ -212,6 +212,21 @@ def test_incremental_equals_fresh_solver(data):
         assert got == fresh == dpll_satisfiable(so_far)
 
 
+def test_bump_of_assigned_variable_adds_no_heap_entry():
+    n = 120
+    s = make_solver(n, random_3sat(random.Random(1), n, 480))
+    s.solve()
+    assert s.stats["conflicts"] > 100
+    v = next(v for v in range(1, n + 1) if s.vals[v << 1] == 0)
+    s._decide(v << 1)
+    size, act = len(s._heap), s.activity[v]
+    s._bump_var(v)
+    assert s.activity[v] > act and len(s._heap) == size
+    # freeing v pushes the entry that carries its bumped activity
+    s._cancel_until(0)
+    assert_heap_covers_unassigned(s)
+
+
 def test_binary_chain_core_is_exactly_its_two_ends():
     # 1 -> 2 -> ... -> 50 through binary clauses only: the refutation of
     # [1, -50] runs along binary reasons, and the core names both ends
