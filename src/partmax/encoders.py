@@ -14,6 +14,7 @@ schemes group the softs per tag or per table.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import warnings
@@ -189,6 +190,20 @@ def decode_seating(p: SeatingProblem, model) -> tuple:
 # ------------------------------------------------------------- generators
 
 
+def _check_ranges(cfg, bounds: dict) -> None:
+    """Each key k names the field pair min_k/max_k of cfg and maps to the
+    (least, most) values both may take. Raises ValueError naming the field
+    that leaves its bounds or its pair empty."""
+    for key, (least, most) in bounds.items():
+        lo, hi = getattr(cfg, f"min_{key}"), getattr(cfg, f"max_{key}")
+        for name, x in ((f"min_{key}", lo), (f"max_{key}", hi)):
+            if not least <= x <= most:
+                want = f"at least {least}" if most == math.inf else f"in [{least}, {most}]"
+                raise ValueError(f"{name} must be {want}, got {x}")
+        if lo > hi:
+            raise ValueError(f"min_{key} ({lo}) exceeds max_{key} ({hi})")
+
+
 @dataclass(frozen=True)
 class MscGenConfig:
     min_vertices: int = 10
@@ -197,6 +212,9 @@ class MscGenConfig:
     max_density: float = 0.5
     min_colors: int = 3
     max_colors: int = 8
+
+    def __post_init__(self):
+        _check_ranges(self, {"vertices": (1, math.inf), "density": (0, 1), "colors": (1, math.inf)})
 
 
 @dataclass(frozen=True)
@@ -209,6 +227,19 @@ class SeatingGenConfig:
     max_tag_universe: int = 10
     min_tags_per_person: int = 1
     max_tags_per_person: int = 3
+
+    def __post_init__(self):
+        _check_ranges(self, {
+            "persons": (1, math.inf), "tables": (1, math.inf),
+            "tag_universe": (1, math.inf),
+            "tags_per_person": (0, math.inf),  # a person may have no tags
+        })
+        # every drawn universe must hold a person's fewest tags
+        if self.min_tags_per_person > self.min_tag_universe:
+            raise ValueError(
+                f"min_tags_per_person ({self.min_tags_per_person}) exceeds "
+                f"min_tag_universe ({self.min_tag_universe})"
+            )
 
 
 def gen_msc(cfg: MscGenConfig, seed: int) -> MscProblem:

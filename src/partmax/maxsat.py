@@ -17,7 +17,9 @@ block of every core-guided algorithm; an engine supplies only what differs:
   constraint over the fresh relaxation variables.
 
 Soft clauses enter the solver once, guarded; cores are reported over the
-guard literals, so all carried state survives merges.
+guard literals, so all carried state survives merges. A block whose proven
+bound the best model seen so far already meets is answered without a SAT
+call, so `sat_calls` counts only the calls actually made.
 """
 
 from __future__ import annotations
@@ -123,8 +125,15 @@ class _Block:
 
 def _solve_block(run: _Run, engine, blk: _Block):
     """The core-guided loop: relax cores and raise the bound until the
-    engine's assumptions are satisfiable. Returns the block's (cost, model)."""
+    engine's assumptions are satisfiable. Returns the block's (cost, model).
+
+    A SAT call is skipped once the run's best model already costs blk.lb on
+    the block. That model is block-optimal: every SAT model satisfies the
+    hard clauses, and blk.lb is a lower bound on the block's cost over all
+    such models. On the last merged block, it is therefore optimal."""
     while True:
+        if run.block_cost(run.best_model, blk.soft_ids) == blk.lb:
+            return blk.lb, run.best_model
         out = run.sat(engine.assumptions(blk.state, blk.lb))
         if out.sat:
             model = out.model[: run.inst.n_vars + 1]

@@ -84,10 +84,12 @@ class Solver:
         self.learnts: list = []  # (lbd, clause) per learnt of 3+ literals, oldest first
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
-        # (-activity, v): each unassigned v has an entry keyed by its activity.
-        # Only assigned variables are bumped, and _cancel_until pushes a fresh
-        # entry for every variable it frees, so that entry outranks older ones.
+        # (-activity, v) entries; an entry is current while its key is still
+        # -activity[v], and stale once v is bumped. _live[v] says v has a
+        # current entry: every unassigned v has one, and no v has two, since
+        # _cancel_until pushes only for a freed v without one.
         self._heap: list = []
+        self._live = [False]
         self._reduces = 0
         self.stats = {
             "solves": 0,
@@ -110,6 +112,7 @@ class Solver:
             self.vals.extend((0, 0))
             self.watches.append([])
             self.watches.append([])
+            self._live.append(True)
             heappush(self._heap, (0.0, self.n_vars))
 
     def add_clause(self, lits) -> bool:
@@ -172,7 +175,7 @@ class Solver:
             return
         bound = self.trail_lim[lvl]
         trail, vals, phase = self.trail, self.vals, self.phase
-        heap, activity = self._heap, self.activity
+        heap, activity, live = self._heap, self.activity, self._live
         for i in range(len(trail) - 1, bound - 1, -1):
             code = trail[i]
             v = code >> 1
@@ -180,7 +183,9 @@ class Solver:
             vals[code ^ 1] = 0
             phase[v] = not (code & 1)
             self.reason[v] = None
-            heappush(heap, (-activity[v], v))
+            if not live[v]:
+                live[v] = True
+                heappush(heap, (-activity[v], v))
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(trail)
@@ -245,6 +250,7 @@ class Solver:
 
     def _bump_var(self, v: int) -> None:
         self.activity[v] += self._var_inc
+        self._live[v] = False  # v is assigned; _cancel_until re-pushes it
         if self.activity[v] > 1e100:
             act = self.activity
             for i in range(1, self.n_vars + 1):
@@ -253,11 +259,10 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        self._heap = [
-            (-self.activity[v], v)
-            for v in range(1, self.n_vars + 1)
-            if self.vals[v << 1] == 0
-        ]
+        live = self._live
+        for v in range(1, self.n_vars + 1):
+            live[v] = self.vals[v << 1] == 0
+        self._heap = [(-self.activity[v], v) for v in range(1, self.n_vars + 1) if live[v]]
         self._heap.sort()
 
     def _analyze(self, confl):
@@ -357,9 +362,12 @@ class Solver:
     # ------------------------------------------------------------ search
 
     def _pick_branch(self):
-        heap, vals = self._heap, self.vals
+        heap, vals, activity, live = self._heap, self.vals, self.activity, self._live
         while heap:
-            _, v = heappop(heap)
+            key, v = heappop(heap)
+            if key != -activity[v]:
+                continue  # stale: v was bumped after this push
+            live[v] = False
             if vals[v << 1] == 0:
                 return v
         return None  # an unassigned variable always has a current entry

@@ -339,6 +339,22 @@ def test_cli_gen_seating_tag_bounds_set_the_tag_universe(tmp_path, capsys):
     assert [line for line in manifest if line.startswith("tags=")] == ["tags=2"] * 4
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("msc", "--min-vertices", "6", "--max-vertices", "3"), "min_vertices (6) exceeds max_vertices (3)"),
+        (("seating", "--min-persons", "0", "--max-persons", "0"), "min_persons must be at least 1, got 0"),
+        (("msc", "--min-density", "1.5"), "min_density must be in [0, 1], got 1.5"),
+    ],
+)
+def test_cli_gen_bad_generator_ranges_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "g"
+    code, _, err = run_cli(capsys, "gen", *argv, "--count", "2", "--out-dir", str(out))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_malformed_env_seed_is_usage_error(tmp_path, capsys, monkeypatch):
     f = tmp_path / "t.wcnf"
     f.write_text(TWO_TRIANGLES_WCNF)

@@ -204,6 +204,28 @@ def test_generator_density_extremes():
     assert len(gen_msc(full, 1).edges) == 15
 
 
+@pytest.mark.parametrize(
+    "config, fields, message",
+    [
+        (MscGenConfig, dict(min_vertices=6, max_vertices=3), "min_vertices (6) exceeds max_vertices (3)"),
+        (MscGenConfig, dict(min_colors=0), "min_colors must be at least 1, got 0"),
+        (MscGenConfig, dict(min_density=1.5), "min_density must be in [0, 1], got 1.5"),
+        (MscGenConfig, dict(max_density=-0.1), "max_density must be in [0, 1], got -0.1"),
+        (MscGenConfig, dict(min_density=float("nan")), "min_density must be in [0, 1], got nan"),
+        (SeatingGenConfig, dict(min_persons=0, max_persons=0), "min_persons must be at least 1, got 0"),
+        (SeatingGenConfig, dict(min_tables=4, max_tables=3), "min_tables (4) exceeds max_tables (3)"),
+        (SeatingGenConfig, dict(max_tag_universe=0), "max_tag_universe must be at least 1, got 0"),
+        (SeatingGenConfig, dict(min_tags_per_person=-1), "min_tags_per_person must be at least 0, got -1"),
+        (SeatingGenConfig, dict(min_tag_universe=2, min_tags_per_person=3, max_tags_per_person=3),
+         "min_tags_per_person (3) exceeds min_tag_universe (2)"),
+    ],
+)
+def test_generator_config_rejects_bad_ranges(config, fields, message):
+    with pytest.raises(ValueError) as exc:
+        config(**fields)
+    assert str(exc.value) == message
+
+
 def test_encoded_pwcnf_roundtrips(tmp_path):
     pinst = encode_msc(TRIANGLE_TAIL, SchemeChoice.MSC_COLOR)
     again = parse_pwcnf(write_pwcnf(pinst))

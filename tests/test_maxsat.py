@@ -172,6 +172,21 @@ def test_three_blocks_merge_singletons_first():
     assert merge_events[-1] == (1, 2, 3)
 
 
+@pytest.mark.parametrize("alg", CORE_ALGS)
+def test_block_the_best_model_solves_needs_no_sat_call(alg):
+    # the hard check's model already satisfies every soft clause, so no
+    # block and no merge needs a SAT call of its own (5 more before the skip)
+    soft = [SoftClause((v,), 1, part=v) for v in (1, 2, 3)]
+    pinst = PartitionedInstance(MaxSatInstance(3, [(1,), (2,), (3,)], soft), n_part=3)
+    res = solve_instance(pinst, alg)
+    assert res.status == Status.OPTIMUM and res.cost == 0
+    assert res.stats.sat_calls == 1
+    assert res.stats.partition_costs == [
+        ((1,), 0), ((2,), 0), ((3,), 0), ((1, 2), 0), ((1, 2, 3), 0)
+    ]
+    assert_valid_result(pinst.base, res)
+
+
 def test_select_partitions_policy():
     assert select_partitions([(1, 3), (2, 1), (3, 2)]) == (2, 3)
     assert select_partitions([(1, 2), (2, 2)]) == (1, 2)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -186,11 +187,14 @@ def test_determinism_same_input_same_statistics():
 
 def assert_heap_covers_unassigned(s):
     """Branching relies on this: every unassigned variable has a heap entry
-    keyed by its current activity, so an empty heap means all are assigned."""
-    entries = set(s._heap)
+    keyed by its current activity, so an empty heap means all are assigned.
+    No variable has two such entries, and _live[v] says whether v has one."""
+    current = Counter(v for key, v in s._heap if key == -s.activity[v])
+    assert max(current.values(), default=1) == 1
     for v in range(1, s.n_vars + 1):
+        assert s._live[v] == (v in current), v
         if s.vals[v << 1] == 0:
-            assert (-s.activity[v], v) in entries, v
+            assert v in current, v
 
 
 @settings(max_examples=40)
@@ -225,6 +229,16 @@ def test_bump_of_assigned_variable_adds_no_heap_entry():
     # freeing v pushes the entry that carries its bumped activity
     s._cancel_until(0)
     assert_heap_covers_unassigned(s)
+
+
+def test_failed_assumption_calls_do_not_grow_the_heap():
+    # each call refutes [1, -50] by propagation alone: nothing is bumped, so
+    # every freed variable still has its entry and none is pushed again
+    s = make_solver(50, [(-i, i + 1) for i in range(1, 50)])
+    for _ in range(3):
+        assert not s.solve((1, -50)).sat
+        assert len(s._heap) == 50
+        assert_heap_covers_unassigned(s)
 
 
 def test_binary_chain_core_is_exactly_its_two_ends():
