@@ -9,6 +9,10 @@ Three representations are built from all clauses, hard and soft:
 - res: one node per clause; clause pairs whose resolvent is non-trivial are
   joined with weight 1/|resolvent|.
 
+Nodes are integer ids 0..n-1. With clauses numbered hard first, then soft
+(m in all), vig gives variable v id v-1; cvig gives clause i id i and
+variable v id m+v-1; res gives clause i id i.
+
 Communities found by modularity maximization over these graphs (local moves
 from a node queue, then aggregation) become soft-clause partition labels.
 Edge weights are integers over the common denominator `scale`; exact sums do
@@ -20,41 +24,33 @@ from __future__ import annotations
 import random
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import comb, lcm
 
 from .cnf import TAUTOLOGY, MaxSatInstance, PartitionedInstance, resolve
-
-VAR_NODE = "v"
-CLAUSE_NODE = "c"
 
 
 class ResolutionGraphTooLarge(Exception):
     """Raised when the candidate clause-pair count exceeds the configured cap."""
 
 
-@dataclass
 class WeightedGraph:
-    """Undirected weighted graph; nodes are (kind, index) tuples, and
+    """Undirected weighted graph over node ids 0..n-1, all made at
+    construction (see the module docstring for each build's layout);
     adj[u][v] is a positive integer: edge (u, v) weighs adj[u][v] / scale."""
 
-    adj: dict = field(default_factory=dict)
-    scale: int = 1
+    def __init__(self, n: int = 0, scale: int = 1):
+        self.adj = {u: {} for u in range(n)}
+        self.scale = scale
 
-    def add_node(self, node) -> None:
-        self.adj.setdefault(node, {})
-
-    def add_edge(self, u, v, w) -> None:
+    def add_edge(self, u: int, v: int, w: int) -> None:
         if u == v:
             raise ValueError("self-loops are not allowed")
         if w <= 0:
             raise ValueError("edge weights must be positive")
-        nu, nv = self.adj.setdefault(u, {}), self.adj.setdefault(v, {})
+        nu, nv = self.adj[u], self.adj[v]
         nu[v] = nu.get(v, 0) + w
         nv[u] = nv.get(u, 0) + w
-
-    def nodes(self):
-        return list(self.adj)
 
     def edges(self):
         return [(u, v, w) for u, nbrs in self.adj.items() for v, w in nbrs.items() if u < v]
@@ -68,10 +64,8 @@ def _all_clauses(inst: MaxSatInstance):
 
 
 def build_vig(inst: MaxSatInstance) -> WeightedGraph:
-    var_sets = [sorted({abs(l) for l in cl}) for cl in _all_clauses(inst)]
-    g = WeightedGraph(scale=lcm(*{comb(len(vs), 2) for vs in var_sets if len(vs) > 1}))
-    for v in range(1, inst.n_vars + 1):
-        g.add_node((VAR_NODE, v))
+    var_sets = [sorted({abs(l) - 1 for l in cl}) for cl in _all_clauses(inst)]
+    g = WeightedGraph(inst.n_vars, lcm(*{comb(len(vs), 2) for vs in var_sets if len(vs) > 1}))
     for vs in var_sets:
         n = len(vs)
         if n < 2:
@@ -79,22 +73,22 @@ def build_vig(inst: MaxSatInstance) -> WeightedGraph:
         w = g.scale // comb(n, 2)
         for i in range(n):
             for j in range(i + 1, n):
-                g.add_edge((VAR_NODE, vs[i]), (VAR_NODE, vs[j]), w)
+                g.add_edge(vs[i], vs[j], w)
     return g
 
 
 def build_cvig(inst: MaxSatInstance) -> WeightedGraph:
     clauses = _all_clauses(inst)
-    g = WeightedGraph(scale=lcm(*{len(cl) for cl in clauses if cl}))
-    for v in range(1, inst.n_vars + 1):
-        g.add_node((VAR_NODE, v))
+    m = len(clauses)
+    g = WeightedGraph(m + inst.n_vars, lcm(*{len(cl) for cl in clauses if cl}))
     for ci, cl in enumerate(clauses):
-        g.add_node((CLAUSE_NODE, ci))
         if not cl:
             continue
         w = g.scale // len(cl)
+        # the set holds variables, not ids: its iteration order fixes each
+        # clause row's neighbour order, which the float sums depend on
         for v in {abs(l) for l in cl}:
-            g.add_edge((VAR_NODE, v), (CLAUSE_NODE, ci), w)
+            g.add_edge(m + v - 1, ci, w)
     return g
 
 
@@ -108,11 +102,10 @@ def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGra
     clauses = _all_clauses(inst)
     # a resolvent keeps at most 2 * longest - 2 literals
     longest = max((len(cl) for cl in clauses), default=0)
-    g = WeightedGraph(scale=lcm(*range(1, 2 * longest - 1)))
+    g = WeightedGraph(len(clauses), lcm(*range(1, 2 * longest - 1)))
+    adj = g.adj
     lit_sets = [set(cl) for cl in clauses]
     var_sets = [{abs(l) for l in cl} for cl in clauses]
-    nodes = [(CLAUSE_NODE, ci) for ci in range(len(clauses))]
-    adj = [g.adj.setdefault(node, {}) for node in nodes]
     pos, neg = {}, {}
     for ci, lits in enumerate(lit_sets):
         for lit in lits:
@@ -140,31 +133,26 @@ def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGra
                 # a pair met on a second variable clashes on two, so all its
                 # resolvents are trivial and each edge is set once; the empty
                 # resolvent of contradictory units is clamped to weight 1
-                adj[ci][nodes[cj]] = adj[cj][nodes[ci]] = g.scale // max(n, 1)
+                adj[ci][cj] = adj[cj][ci] = g.scale // max(n, 1)
     return g
-
-
-def dump_edges(g: WeightedGraph) -> str:
-    """Debug edge list: one "node node weight" line per edge."""
-    lines = [f"{u[0]}{u[1]} {v[0]}{v[1]} {w / g.scale:g}" for u, v, w in sorted(g.edges())]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass
 class CommunityAssignment:
-    """node -> contiguous 0-based community id, plus the modularity reached."""
+    """communities[u] is node id u's contiguous 0-based community id; q is
+    the modularity reached and phase_q the Q after each phase."""
 
-    communities: dict
+    communities: list
     q: float
     phase_q: tuple = ()
 
     @property
     def n_communities(self) -> int:
-        return len(set(self.communities.values())) if self.communities else 0
+        return len(set(self.communities))
 
 
-def modularity(g: WeightedGraph, communities: dict) -> float:
-    """Q of a node -> community map from exact integer sums (scale cancels)."""
+def modularity(g: WeightedGraph, communities: list) -> float:
+    """Q of communities[u] per node id u, from exact integer sums (scale cancels)."""
     internal: dict = {}  # twice each community's internal weight
     degree: dict = {}
     for u, nbrs in g.adj.items():
@@ -218,21 +206,17 @@ def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
 
     Deterministic for a fixed seed: each phase queues the nodes in ascending
     order shuffled by the seed, then requeues the neighbours of moved nodes.
-    A graph with zero total edge weight puts every node in its own community
-    with Q = 0. Each phase's Q comes from the community totals of its
-    aggregation pass (Blondel et al. 2008).
+    A graph with zero total edge weight, or without nodes, puts every node in
+    its own community with Q = 0. Each phase's Q comes from the community
+    totals of its aggregation pass (Blondel et al. 2008).
     """
-    nodes = sorted(g.adj)
-    if not nodes:
-        raise ValueError("cannot detect communities of an empty graph")
-    index = {node: i for i, node in enumerate(nodes)}
-    adj = [{index[v]: w / g.scale for v, w in g.adj[node].items()} for node in nodes]
+    adj = [{v: w / g.scale for v, w in nbrs.items()} for nbrs in g.adj.values()]
     m2 = 2.0 * g.total_weight()
     if m2 == 0:
-        return CommunityAssignment({node: i for i, node in enumerate(nodes)}, 0.0, (0.0,))
+        return CommunityAssignment(list(range(len(adj))), 0.0, (0.0,))
     rng = random.Random(seed)
-    loops = [0.0] * len(nodes)
-    assign = list(range(len(nodes)))  # original node -> current supernode
+    loops = [0.0] * len(adj)
+    assign = list(range(len(adj)))  # original node -> current supernode
     phase_q = []
     while True:
         n = len(adj)
@@ -263,9 +247,9 @@ def detect_communities(g: WeightedGraph, seed: int = 0) -> CommunityAssignment:
         if not moved or len(labels) == n:
             break
         adj, loops = new_adj, new_loops
-    # contiguous ids by first appearance over the sorted node order
+    # contiguous ids by first appearance in node id order
     remap: dict = {}
-    communities = {node: remap.setdefault(assign[i], len(remap)) for i, node in enumerate(nodes)}
+    communities = [remap.setdefault(a, len(remap)) for a in assign]
     return CommunityAssignment(communities, phase_q[-1], tuple(phase_q))
 
 
@@ -297,7 +281,7 @@ def derive_partitions(
         def community_of(lits):
             counts: dict = {}
             for v in {abs(l) for l in lits}:
-                c = ca.communities[(VAR_NODE, v)]
+                c = ca.communities[v - 1]
                 counts[c] = counts.get(c, 0) + 1
             if not counts:
                 return -1  # empty clause touches no community
@@ -307,8 +291,8 @@ def derive_partitions(
         raw = [community_of(s.lits) for s in inst.soft]
         hard_raw = [community_of(cl) if cl else 0 for cl in inst.hard]
     else:
-        raw = [ca.communities[(CLAUSE_NODE, n_hard + i)] for i in range(len(inst.soft))]
-        hard_raw = [ca.communities[(CLAUSE_NODE, i)] for i in range(n_hard)]
+        raw = ca.communities[n_hard : n_hard + len(inst.soft)]
+        hard_raw = ca.communities[:n_hard]
     return _renumber(inst, raw, hard_raw)
 
 

@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from operator import truediv
 
 import pytest
@@ -21,8 +21,6 @@ from partmax.encoders import (
     gen_seating,
 )
 from partmax.graphs import (
-    CLAUSE_NODE,
-    VAR_NODE,
     ResolutionGraphTooLarge,
     WeightedGraph,
     build_cvig,
@@ -30,14 +28,10 @@ from partmax.graphs import (
     build_vig,
     derive_partitions,
     detect_communities,
-    dump_edges,
     modularity,
     partition_by_graph,
     random_partition,
 )
-
-V = VAR_NODE
-C = CLAUSE_NODE
 
 
 def soft_blocks(pinst):
@@ -50,7 +44,7 @@ def soft_blocks(pinst):
 
 def test_vig_of_two_triangles_matches_known_edge_set():
     g = build_vig(two_triangles_instance())
-    edges = {(u[1], v[1]) for u, v, _ in g.edges()}
+    edges = {(u + 1, v + 1) for u, v, _ in g.edges()}  # variable v is node v - 1
     assert edges == {(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 6)}
     assert all(w == 1 for _, _, w in g.edges())
 
@@ -58,14 +52,14 @@ def test_vig_of_two_triangles_matches_known_edge_set():
 def test_vig_single_binary_clause():
     inst = MaxSatInstance(2, hard=[(1, 2)], soft=[], top=1)
     g = build_vig(inst)
-    assert g.edges() == [((V, 1), (V, 2), Fraction(1))]
+    assert g.edges() == [(0, 1, Fraction(1))]
 
 
 def test_vig_unit_soft_contributes_no_edge():
     inst = MaxSatInstance(1, hard=[], soft=[SoftClause((-1,), 1)], top=2)
     g = build_vig(inst)
     assert g.edges() == []
-    assert (V, 1) in g.adj
+    assert list(g.adj) == [0]
 
 
 def test_vig_total_weight_counts_wide_clauses():
@@ -84,25 +78,25 @@ def test_vig_total_weight_counts_wide_clauses():
 def test_cvig_of_two_triangles_shape():
     inst = two_triangles_instance()
     g = build_cvig(inst)
-    var_nodes = [n for n in g.nodes() if n[0] == V]
-    clause_nodes = [n for n in g.nodes() if n[0] == C]
-    assert len(var_nodes) == 6
-    assert len(clause_nodes) == 11
-    # soft 0 is the unit clause on v1: clause node index 7 connects only to v1
-    assert sorted(g.adj[(C, 7)]) == [(V, 1)]
-    assert Fraction(g.adj[(C, 7)][(V, 1)], g.scale) == 1
+    # 11 clause nodes 0..10, then 6 variable nodes 11..16
+    assert len(inst.hard) + len(inst.soft) == 11 and inst.n_vars == 6
+    assert list(g.adj) == list(range(17))
+    # soft 0 is the unit clause on v1: clause node 7 connects only to v1
+    assert sorted(g.adj[7]) == [11]
+    assert Fraction(g.adj[7][11], g.scale) == 1
 
 
 def test_cvig_empty_formula_is_empty():
     g = build_cvig(MaxSatInstance(0, [], [], top=1))
-    assert g.nodes() == []
+    assert g.adj == {}
 
 
 def test_cvig_edge_weight_is_inverse_clause_size():
     inst = MaxSatInstance(2, hard=[(1, 2)], soft=[], top=1)
     g = build_cvig(inst)
-    assert Fraction(g.adj[(C, 0)][(V, 1)], g.scale) == Fraction(1, 2)
-    assert Fraction(g.adj[(C, 0)][(V, 2)], g.scale) == Fraction(1, 2)
+    # clause 0 is node 0; variables 1 and 2 are nodes 1 and 2
+    assert Fraction(g.adj[0][1], g.scale) == Fraction(1, 2)
+    assert Fraction(g.adj[0][2], g.scale) == Fraction(1, 2)
 
 
 # ------------------------------------------------------------------- res
@@ -111,7 +105,7 @@ def test_cvig_edge_weight_is_inverse_clause_size():
 def test_res_of_two_triangles_matches_known_edge_set():
     g = build_res(two_triangles_instance())
     # clause order: hard h1..h7 are nodes 0..6, softs s1..s4 are 7..10
-    edges = {(u[1], v[1]) for u, v, _ in g.edges()}
+    edges = {(u, v) for u, v, _ in g.edges()}
     expected = {
         (0, 1),  # h1-h2
         (1, 6),  # h2-h7
@@ -127,7 +121,7 @@ def test_res_of_two_triangles_matches_known_edge_set():
         (3, 9),  # h4-s3
     }
     assert edges == expected
-    weights = {(u[1], v[1]): Fraction(w, g.scale) for u, v, w in g.edges()}
+    weights = {(u, v): Fraction(w, g.scale) for u, v, w in g.edges()}
     assert weights[(0, 7)] == 1  # unit resolvent
     assert weights[(0, 1)] == Fraction(1, 2)
 
@@ -140,15 +134,13 @@ def test_res_skips_pairs_whose_resolvents_are_all_trivial():
 def test_res_unit_against_binary():
     inst = MaxSatInstance(2, hard=[(1, 2)], soft=[SoftClause((-1,), 1)], top=2)
     g = build_res(inst)
-    assert [(u, v, Fraction(w, g.scale)) for u, v, w in g.edges()] == [
-        ((C, 0), (C, 1), Fraction(1))
-    ]
+    assert [(u, v, Fraction(w, g.scale)) for u, v, w in g.edges()] == [(0, 1, Fraction(1))]
 
 
 def test_res_contradicting_units_keep_a_clamped_edge():
     inst = MaxSatInstance(1, hard=[(1,)], soft=[SoftClause((-1,), 1)], top=2)
     g = build_res(inst)
-    assert g.edges() == [((C, 0), (C, 1), Fraction(1))]
+    assert g.edges() == [(0, 1, Fraction(1))]
 
 
 def test_res_pair_cap_raises():
@@ -163,7 +155,7 @@ def test_res_recomputed_resolvents_are_never_trivial():
     inst = two_triangles_instance()
     clauses = list(inst.hard) + [s.lits for s in inst.soft]
     for u, v, w in build_res(inst).edges():
-        c1, c2 = clauses[u[1]], clauses[v[1]]
+        c1, c2 = clauses[u], clauses[v]
         shared = [
             a for a in {abs(l) for l in c1} if (a in {abs(l) for l in c2})
             and ((a in c1) != (a in c2))
@@ -209,47 +201,88 @@ def test_res_matches_resolve_reference(clauses, n_hard):
     g = build_res(MaxSatInstance(4, hard=hard, soft=soft, top=len(soft) + 1))
     scale, edges = reference_res(clauses)
     assert g.scale == scale
-    assert list(g.adj) == [(C, i) for i in range(len(clauses))]
-    assert {(u[1], v[1]): w for u, v, w in g.edges()} == edges
+    assert list(g.adj) == list(range(len(clauses)))
+    assert {(u, v): w for u, v, w in g.edges()} == edges
+
+
+def reference_vig_cvig(clauses, n_vars):
+    """{kind: (scale, node count, {(u, v): integer weight})} of vig and cvig,
+    from their definitions in exact arithmetic at the module's node ids: vig
+    adds 1/C(n, 2) per clause with n >= 2 distinct variables to each pair of
+    them, cvig joins clause i to each of its distinct variables with weight
+    1/len(clause i). scale is the LCM of the per-clause weights' denominators."""
+    m = len(clauses)
+    vig, cvig = {}, {}
+    for ci, cl in enumerate(clauses):
+        vs = sorted({abs(l) for l in cl})
+        for a, b in combinations(vs, 2):
+            vig[(a - 1, b - 1)] = vig.get((a - 1, b - 1), 0) + Fraction(1, comb(len(vs), 2))
+        for v in vs:
+            cvig[(ci, m + v - 1)] = Fraction(1, len(cl))
+    out = {}
+    for kind, edges, denoms, n_nodes in (
+        ("vig", vig, [comb(len({abs(l) for l in cl}), 2) for cl in clauses], n_vars),
+        ("cvig", cvig, [len(cl) for cl in clauses], m + n_vars),
+    ):
+        scale = lcm(*(d for d in denoms if d))
+        assert all((w * scale).denominator == 1 for w in edges.values())
+        out[kind] = scale, n_nodes, {k: int(w * scale) for k, w in edges.items()}
+    return out
+
+
+@given(
+    clauses=st.lists(st.lists(RES_LITERALS, max_size=4).map(tuple), max_size=10),
+    n_hard=st.integers(0, 10),
+)
+@example(clauses=[(1,), (-2,), (3,), (-3,)], n_hard=2)  # units: no vig edge
+@example(clauses=[(), (1, -2), (), (2, 3, 4)], n_hard=1)  # empty clauses
+@example(clauses=[(1, 1, 2), (2, -2, 3), (-3, -3), (4, 4, -4, 1)], n_hard=2)  # repeats
+def test_vig_and_cvig_match_definition_reference(clauses, n_hard):
+    hard, soft = clauses[:n_hard], [SoftClause(cl, 1) for cl in clauses[n_hard:]]
+    inst = MaxSatInstance(4, hard=hard, soft=soft, top=len(soft) + 1)
+    reference = reference_vig_cvig(clauses, 4)
+    for kind, build in (("vig", build_vig), ("cvig", build_cvig)):
+        g = build(inst)
+        scale, n_nodes, edges = reference[kind]
+        assert g.scale == scale, kind
+        assert list(g.adj) == list(range(n_nodes)), kind
+        assert {(u, v): w for u, v, w in g.edges()} == edges, kind
 
 
 # ----------------------------------------------------------- communities
 
 
 def two_disjoint_triangles_graph():
-    g = WeightedGraph()
-    for a, b in [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]:
-        g.add_edge((V, a), (V, b), 1)
+    g = WeightedGraph(6)
+    for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
+        g.add_edge(a, b, 1)
     return g
 
 
 def test_two_disjoint_triangles_split_matches_exhaustive_search():
     g = two_disjoint_triangles_graph()
     best_q, best_part = best_modularity_partition(
-        [(u, v, w) for u, v, w in g.edges()], g.nodes()
+        [(u, v, w) for u, v, w in g.edges()], list(g.adj)
     )
     assert best_q == Fraction(1, 2)
     ca = detect_communities(g, seed=0)
     assert ca.n_communities == 2
     groups = {}
-    for node, c in ca.communities.items():
-        groups.setdefault(c, set()).add(node[1])
-    assert set(map(frozenset, groups.values())) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
+    for node, c in enumerate(ca.communities):
+        groups.setdefault(c, set()).add(node)
+    assert set(map(frozenset, groups.values())) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
     assert ca.q == pytest.approx(0.5)
 
 
 def test_single_node_is_one_community():
-    g = WeightedGraph()
-    g.add_node((V, 1))
+    g = WeightedGraph(1)
     ca = detect_communities(g, seed=0)
     assert ca.n_communities == 1
     assert ca.q == 0.0
 
 
 def test_zero_weight_graph_gives_singletons():
-    g = WeightedGraph()
-    for v in (1, 2, 3):
-        g.add_node((V, v))
+    g = WeightedGraph(3)
     ca = detect_communities(g, seed=0)
     assert ca.n_communities == 3
     assert ca.q == 0.0
@@ -259,8 +292,8 @@ def test_vig_communities_of_two_triangles():
     inst = two_triangles_instance()
     ca = detect_communities(build_vig(inst), seed=0)
     groups = {}
-    for node, c in ca.communities.items():
-        groups.setdefault(c, set()).add(node[1])
+    for node, c in enumerate(ca.communities):
+        groups.setdefault(c, set()).add(node + 1)
     assert set(map(frozenset, groups.values())) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
 
 
@@ -278,16 +311,18 @@ def test_res_partitions_of_two_triangles():
 
 def test_louvain_quality_not_below_singletons_and_phases_monotone():
     rng = random.Random(5)
-    g = WeightedGraph()
+    g = WeightedGraph(14)
     for _ in range(40):
-        u, v = rng.sample(range(1, 15), 2)
-        g.add_edge((V, min(u, v)), (V, max(u, v)), 1)
+        u, v = rng.sample(range(14), 2)
+        g.add_edge(min(u, v), max(u, v), 1)
     ca = detect_communities(g, seed=1)
-    singletons = {n: i for i, n in enumerate(sorted(g.adj))}
+    singletons = list(range(14))
     assert ca.q >= modularity(g, singletons) - 1e-12
     assert all(b >= a - 1e-9 for a, b in zip(ca.phase_q, ca.phase_q[1:]))
     # reported q matches an exact recomputation
-    exact = exact_modularity([(u, v, w) for u, v, w in g.edges()], ca.communities)
+    exact = exact_modularity(
+        [(u, v, w) for u, v, w in g.edges()], dict(enumerate(ca.communities))
+    )
     assert ca.q == pytest.approx(float(exact))
 
 
@@ -341,7 +376,7 @@ def edge_map(g, weight, rename=lambda node: node):
 
 def test_graph_builds_are_order_insensitive():
     g = build_vig(MIXED_WIDTHS)
-    assert Fraction(g.adj[(V, 1)][(V, 2)], g.scale) == Fraction(7, 3)
+    assert Fraction(g.adj[0][1], g.scale) == Fraction(7, 3)
     rng = random.Random(11)
     for inst in (two_triangles_instance(), MIXED_WIDTHS):
         perm = list(range(len(inst.hard)))
@@ -351,15 +386,16 @@ def test_graph_builds_are_order_insensitive():
         )
 
         def original(node):
-            """Clause node k of the shuffled instance is clause perm[k]."""
-            kind, k = node
-            return (kind, perm[k]) if kind == C and k < len(perm) else node
+            """Clause node k < len(perm) of the shuffled instance is clause perm[k]."""
+            return perm[node] if node < len(perm) else node
 
         for build in (build_vig, build_cvig, build_res):
             a, b = build(inst), build(shuffled)
-            assert edge_map(a, Fraction) == edge_map(b, Fraction, original)
+            # vig nodes are variables, which the shuffle leaves in place
+            rename = (lambda node: node) if build is build_vig else original
+            assert edge_map(a, Fraction) == edge_map(b, Fraction, rename)
             # the float weights detect_communities reads
-            assert edge_map(a, truediv) == edge_map(b, truediv, original)
+            assert edge_map(a, truediv) == edge_map(b, truediv, rename)
 
 
 def test_random_partition_properties():
@@ -386,20 +422,18 @@ def test_random_partition_covers_softs(k, seed):
     assert pinst.n_part == len(pinst.blocks())
 
 
-def test_dump_edges_format():
-    inst = MaxSatInstance(2, hard=[(1, 2)], soft=[], top=1)
-    out = dump_edges(build_vig(inst))
-    assert out == "v1 v2 1\n"
-
-
 def test_empty_soft_clause_gets_its_own_partition():
-    inst = MaxSatInstance(
-        2, hard=[(1, 2)], soft=[SoftClause((), 1), SoftClause((-1,), 1)], top=3
-    )
-    for kind in ("vig", "cvig", "res"):
-        pinst = partition_by_graph(inst, kind, seed=0)
-        pinst.validate()
-        assert sorted(i for ids in pinst.blocks().values() for i in ids) == [0, 1]
+    for inst in (
+        MaxSatInstance(
+            2, hard=[(1, 2)], soft=[SoftClause((), 1), SoftClause((-1,), 1)], top=3
+        ),
+        MaxSatInstance(0, [], [SoftClause((), 1)], top=2),  # a vig without nodes
+    ):
+        for kind in ("vig", "cvig", "res"):
+            pinst = partition_by_graph(inst, kind, seed=0)
+            pinst.validate()
+            ids = sorted(i for ids in pinst.blocks().values() for i in ids)
+            assert ids == list(range(len(inst.soft))), kind
 
 
 def test_partition_by_graph_rejects_unknown_representation_without_softs():
@@ -435,6 +469,15 @@ GOLDEN_INSTANCES = {
     "msc-9": lambda: msc_instance(9, 5009),
 }
 BUILDS = {"vig": build_vig, "cvig": build_cvig, "res": build_res}
+
+
+def node_names(kind, inst):
+    """("v", variable) or ("c", clause index) for each node id of a build, the
+    names under which the golden digests were recorded."""
+    variables = [("v", v) for v in range(1, inst.n_vars + 1)]
+    clauses = [("c", i) for i in range(len(inst.hard) + len(inst.soft))]
+    return {"vig": variables, "cvig": clauses + variables, "res": clauses}[kind]
+
 
 # (instance, graph) -> (soft labels, phases, sha256 of the sorted node ->
 # community map, phase_q, final Q of the full-sweep local moves), recorded
@@ -546,7 +589,9 @@ def test_partitions_match_golden_labels(name):
         pinst = derive_partitions(inst, ca, kind)
         assert " ".join(str(s.part) for s in pinst.base.soft) == labels, kind
         assert len(ca.phase_q) == n_phases, kind
-        sorted_map = repr(sorted(ca.communities.items())).encode()
+        names = node_names(kind, inst)
+        assert len(names) == len(ca.communities), kind
+        sorted_map = repr(sorted(zip(names, ca.communities))).encode()
         assert hashlib.sha256(sorted_map).hexdigest() == digest, kind
         assert ca.phase_q == pytest.approx(phase_q, abs=1e-9), kind
 
@@ -569,6 +614,6 @@ def test_detected_q_matches_exact_modularity_on_weighted_graphs():
         ca = detect_communities(g, seed=0)
         assert len(ca.phase_q) > 2, kind
         edges = [(u, v, Fraction(w, g.scale)) for u, v, w in g.edges()]
-        exact = exact_modularity(edges, ca.communities)
+        exact = exact_modularity(edges, dict(enumerate(ca.communities)))
         assert ca.q == pytest.approx(float(exact), abs=1e-9), kind
         assert all(b >= a - 1e-12 for a, b in zip(ca.phase_q, ca.phase_q[1:])), kind
