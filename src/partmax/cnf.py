@@ -66,6 +66,45 @@ def resolve(c1: Clause, c2: Clause, v: int):
     return make_clause(rest)
 
 
+def eliminate_pure_literals(clauses, n_vars: int, frozen) -> tuple:
+    """Pure-literal elimination over the variables outside `frozen`.
+
+    Repeatedly drops every clause holding a pure literal (one whose
+    complement is in no remaining clause) of an unfrozen variable. Returns
+    (kept, pure): the remaining clauses in their original order, and one
+    literal per eliminated variable; no eliminated variable occurs in kept.
+    Every dropped clause holds a literal of pure, so making all of pure true
+    extends any model of kept to a model of clauses. Linear in their size.
+    """
+    count = [0] * (2 * n_vars + 1)  # remaining clauses holding lit, at lit + n_vars
+    occurs: list = [[] for _ in range(n_vars + 1)]  # clause indices per variable
+    for i, cl in enumerate(clauses):
+        for lit in cl:
+            count[lit + n_vars] += 1
+            occurs[abs(lit)].append(i)
+    done = bytearray(n_vars + 1)  # frozen or eliminated
+    for v in frozen:
+        done[v] = 1
+    kept = [True] * len(clauses)
+    pure = []
+    queue = [v for v in range(n_vars, 0, -1) if occurs[v] and not done[v]]
+    while queue:
+        v = queue.pop()
+        pos, neg = count[n_vars + v], count[n_vars - v]
+        if done[v] or (pos and neg):
+            continue
+        done[v] = 1
+        pure.append(v if pos else -v)  # -v when dropped clauses took both
+        for i in occurs[v]:
+            if kept[i]:
+                kept[i] = False
+                for lit in clauses[i]:
+                    count[lit + n_vars] -= 1
+                    if not count[lit + n_vars] and not done[abs(lit)]:
+                        queue.append(abs(lit))
+    return [cl for cl, k in zip(clauses, kept) if k], pure
+
+
 @dataclass(frozen=True)
 class SoftClause:
     """A clause that may be violated at a cost. part 0 means unassigned."""

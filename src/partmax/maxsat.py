@@ -16,6 +16,15 @@ block of every core-guided algorithm; an engine supplies only what differs:
 - wbo: per-core clause copies, weight splitting and an at-most-one
   constraint over the fresh relaxation variables.
 
+Before the first SAT call, pure-literal elimination drops, in cascade, every
+hard clause that holds a pure literal of a variable outside the soft
+clauses, and those variables leave branching (Belov, Morgado &
+Marques-Silva, LPAR 2013). Soft-clause variables are frozen: every clause
+added later mentions only them, guards or fresh variables, so the dropped
+clauses stay redundant. Every returned model, and so the solution's `v`
+line, makes each eliminated variable's pure literal true, which satisfies
+the dropped clauses (the model extension of Eén & Biere, SAT 2005).
+
 Soft clauses enter the solver once, guarded; cores are reported over the
 guard literals, so all carried state survives merges. A block whose proven
 bound the best model seen so far already meets is answered without a SAT
@@ -29,7 +38,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cards import GenTotalizer, Totalizer, encode_at_most_k
-from .cnf import MaxSatInstance, PartitionedInstance, VarAllocator, lit_is_true
+from .cnf import (
+    MaxSatInstance,
+    PartitionedInstance,
+    VarAllocator,
+    eliminate_pure_literals,
+    lit_is_true,
+)
 from .sat import Solver, SolverTimeout
 
 
@@ -70,9 +85,10 @@ class SolveResult:
 
 
 class _Run:
-    """Shared solver session over a validated instance: hard clauses plus
-    one guarded copy of every soft clause; tracks the best model seen
-    across all SAT calls."""
+    """Shared solver session over a validated instance: the hard clauses
+    left by pure-literal elimination plus one guarded copy of every soft
+    clause; tracks the best model seen across all SAT calls. `pure` holds
+    the literal that each eliminated variable takes in a returned model."""
 
     def __init__(self, inst: MaxSatInstance, budget: float | None = None):
         self.inst = inst
@@ -81,7 +97,10 @@ class _Run:
         n_guarded = inst.n_vars + len(inst.soft)
         self.alloc = VarAllocator(n_guarded)
         self.solver.reserve(n_guarded)
-        for cl in inst.hard:
+        frozen = {abs(lit) for s in inst.soft for lit in s.lits}
+        hard, self.pure = eliminate_pure_literals(inst.hard, inst.n_vars, frozen)
+        self.solver.exclude_from_branching(abs(lit) for lit in self.pure)
+        for cl in hard:
             self.solver.add_clause(cl)
         self.guards = range(inst.n_vars + 1, n_guarded + 1)  # guard of soft i
         for s, g in zip(inst.soft, self.guards):
@@ -304,6 +323,9 @@ _ENGINES = {
 
 
 def _result(run: _Run, status: Status, cost, model, lb: int, t0: float) -> SolveResult:
+    if model is not None:
+        for lit in run.pure:
+            model[abs(lit)] = lit > 0
     run.stats.time_s = time.monotonic() - t0
     return SolveResult(status=status, cost=cost, model=model, lower_bound=lb, stats=run.stats)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 
 class SolverTimeout(Exception):
@@ -26,9 +26,10 @@ class SolverTimeout(Exception):
 
 @dataclass
 class SolveOutcome:
-    """Either SAT with a total model (bool list indexed by variable, slot 0
-    unused) or UNSAT with a core: a subset of the assumption literals whose
-    conjunction with the clause database is unsatisfiable."""
+    """Either SAT with a model (bool list indexed by variable, slot 0 unused)
+    that satisfies the clause database, or UNSAT with a core: a subset of the
+    assumption literals whose conjunction with the clause database is
+    unsatisfiable. A variable taken out of branching reads False."""
 
     sat: bool
     model: list | None = None
@@ -86,10 +87,11 @@ class Solver:
         self._var_decay = 1.0 / 0.95
         # (-activity, v) entries; an entry is current while its key is still
         # -activity[v], and stale once v is bumped. _live[v] says v has a
-        # current entry: every unassigned v has one, and no v has two, since
-        # _cancel_until pushes only for a freed v without one.
+        # current entry: every unassigned v outside _excluded has one, and no
+        # v has two, since _cancel_until pushes only for a freed v without one.
         self._heap: list = []
         self._live = [False]
+        self._excluded: set = set()  # out of branching: never in the heap
         self._reduces = 0
         self.stats = {
             "solves": 0,
@@ -114,6 +116,18 @@ class Solver:
             self.watches.append([])
             self._live.append(True)
             heappush(self._heap, (0.0, self.n_vars))
+
+    def exclude_from_branching(self, variables) -> None:
+        """Never decide these variables. They must stay out of every clause
+        and assumption, so the solver never assigns them and every SAT model
+        reads them False."""
+        new = set(variables)
+        if new:
+            self._excluded |= new
+            self._heap = [e for e in self._heap if e[1] not in new]
+            heapify(self._heap)
+            for v in new:
+                self._live[v] = False
 
     def add_clause(self, lits) -> bool:
         """Add a clause over already-reserved variables.
@@ -259,9 +273,9 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        live = self._live
+        live, excluded = self._live, self._excluded
         for v in range(1, self.n_vars + 1):
-            live[v] = self.vals[v << 1] == 0
+            live[v] = self.vals[v << 1] == 0 and v not in excluded
         self._heap = [(-self.activity[v], v) for v in range(1, self.n_vars + 1) if live[v]]
         self._heap.sort()
 
@@ -370,7 +384,7 @@ class Solver:
             live[v] = False
             if vals[v << 1] == 0:
                 return v
-        return None  # an unassigned variable always has a current entry
+        return None  # an unassigned branching variable always has a current entry
 
     def _record_learnt(self, learnt, bt: int) -> None:
         lbd = len({self.level[c >> 1] for c in learnt})  # levels before the backjump
@@ -464,9 +478,10 @@ class Solver:
     def solve(self, assumptions=()) -> SolveOutcome:
         """Solve the current database under the given assumption literals.
 
-        SAT outcomes carry a total model extending the assumptions; UNSAT
-        outcomes carry a core that is a subset of the assumptions. The
-        solver is reusable afterwards.
+        SAT outcomes carry a model extending the assumptions that assigns
+        every branching variable and leaves the variables taken out of
+        branching False; UNSAT outcomes carry a core that is a subset of the
+        assumptions. The solver is reusable afterwards.
         """
         self.stats["solves"] += 1
         self._check_deadline()

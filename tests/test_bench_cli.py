@@ -140,6 +140,19 @@ def test_dead_worker_recorded_as_error(corpus_dir):
     assert out.split() == ["error,error"]
 
 
+def test_python_m_partmax_solves(tmp_path):
+    f = tmp_path / "t.wcnf"
+    f.write_text(TWO_TRIANGLES_WCNF)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "partmax", "solve", str(f)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "o 2" in proc.stdout.splitlines()
+    assert "s OPTIMUM FOUND" in proc.stdout
+
+
 def test_csv_schema_and_determinism(corpus_dir):
     paths = [str(corpus_dir / "two_triangles.pwcnf")]
     a = records_to_csv(bench.run_benchmark(paths, ["msu3"], ["vig", "none"], jobs=1))

@@ -50,12 +50,13 @@ def test_tracer_patches_fit_and_count_each_encoding_once():
     assert results["oll"].cost == 7
     # recorded with the recursive unary totalizer; oll's encoding must not change.
     # The SAT counts are those of a driver that skips the call for a block the
-    # best model already solves
+    # best model already solves, and of a solver that never branches on the
+    # hard-only variables pure-literal elimination removed
     assert {k: oll[k] for k in (
         "cards.aux_vars", "cards.clauses", "sat.calls", "sat.conflicts", "sat.propagations"
     )} == {
         "cards.aux_vars": 33, "cards.clauses": 55, "sat.calls": 11,
-        "sat.conflicts": 32, "sat.propagations": 6376,
+        "sat.conflicts": 32, "sat.propagations": 2490,
     }
     assert oll["sat.calls"] == results["oll"].stats.sat_calls
     assert results["msu3"].cost == 7

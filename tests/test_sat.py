@@ -186,14 +186,16 @@ def test_determinism_same_input_same_statistics():
 
 
 def assert_heap_covers_unassigned(s):
-    """Branching relies on this: every unassigned variable has a heap entry
-    keyed by its current activity, so an empty heap means all are assigned.
-    No variable has two such entries, and _live[v] says whether v has one."""
+    """Branching relies on this: every unassigned variable outside the ones
+    taken out of branching has a heap entry keyed by its current activity,
+    so an empty heap means all are assigned. No variable has two such
+    entries, _live[v] says whether v has one, and an excluded v has none."""
     current = Counter(v for key, v in s._heap if key == -s.activity[v])
     assert max(current.values(), default=1) == 1
+    assert not s._excluded & {v for _, v in s._heap}
     for v in range(1, s.n_vars + 1):
         assert s._live[v] == (v in current), v
-        if s.vals[v << 1] == 0:
+        if s.vals[v << 1] == 0 and v not in s._excluded:
             assert v in current, v
 
 
@@ -344,3 +346,40 @@ def test_learnt_reduction_keeps_locked_clauses_and_watches():
             assert got.core <= set(assumps)
             assert not make_solver(n, clauses).solve(assumptions=sorted(got.core, key=abs)).sat
     assert outcomes == {True, False}
+
+
+def test_variable_out_of_branching_is_never_decided_nor_assigned():
+    n, extra = 160, (161, 175, 190)
+    clauses = random_3sat(random.Random(0), n, int(4.26 * n))
+    s = make_solver(190, clauses)  # 162..189 stay in branching, in no clause
+    s.exclude_from_branching(extra)
+    s._var_inc = 1e95  # activities are rescaled within a few hundred conflicts
+    picks = []
+    pick_branch = s._pick_branch
+
+    def checked_pick_branch():
+        v = pick_branch()
+        picks.append(v)
+        for x in extra:
+            assert s.vals[x << 1] == 0, x
+        return v
+
+    s._pick_branch = checked_pick_branch
+    out = s.solve()
+    assert s._var_inc < 1e95  # rescaled, so _rebuild_heap ran mid-search
+    assert s.stats["conflicts"] > 0 and not set(extra) & set(picks)
+    assert 162 in picks and 189 in picks
+    assert_heap_covers_unassigned(s)
+    assert out.sat
+    check_model(clauses, out.model)
+    assert [out.model[v] for v in extra] == [False, False, False]
+    s._rebuild_heap()
+    assert_heap_covers_unassigned(s)
+    rng = random.Random(1)
+    for k in (2, 8, 16):
+        assumps = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+        got = s.solve(assumptions=assumps)
+        assert_heap_covers_unassigned(s)
+        assert not set(extra) & set(picks)
+        if got.sat:
+            assert [got.model[v] for v in extra] == [False, False, False]
