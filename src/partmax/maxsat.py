@@ -18,8 +18,8 @@ block of every core-guided algorithm; an engine supplies only what differs:
 
 Before the first SAT call, pure-literal elimination drops, in cascade, every
 hard clause that holds a pure literal of a variable outside the soft
-clauses, and those variables leave branching (Belov, Morgado &
-Marques-Silva, LPAR 2013). Soft-clause variables are frozen: every clause
+clauses (Belov, Morgado & Marques-Silva, LPAR 2013); those variables then
+occur in no solver clause, so the solver never decides them. Soft-clause variables are frozen: every clause
 added later mentions only them, guards or fresh variables, so the dropped
 clauses stay redundant. Every returned model, and so the solution's `v`
 line, makes each eliminated variable's pure literal true, which satisfies
@@ -87,8 +87,9 @@ class SolveResult:
 class _Run:
     """Shared solver session over a validated instance: the hard clauses
     left by pure-literal elimination plus one guarded copy of every soft
-    clause; tracks the best model seen across all SAT calls. `pure` holds
-    the literal that each eliminated variable takes in a returned model."""
+    clause; tracks the best model seen across all SAT calls. An eliminated
+    variable enters no solver clause, so the solver never decides it; `pure`
+    holds the literal that it takes in a returned model."""
 
     def __init__(self, inst: MaxSatInstance, budget: float | None = None):
         self.inst = inst
@@ -99,7 +100,6 @@ class _Run:
         self.solver.reserve(n_guarded)
         frozen = {abs(lit) for s in inst.soft for lit in s.lits}
         hard, self.pure = eliminate_pure_literals(inst.hard, inst.n_vars, frozen)
-        self.solver.exclude_from_branching(abs(lit) for lit in self.pure)
         for cl in hard:
             self.solver.add_clause(cl)
         self.guards = range(inst.n_vars + 1, n_guarded + 1)  # guard of soft i

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 
 class SolverTimeout(Exception):
@@ -29,7 +29,7 @@ class SolveOutcome:
     """Either SAT with a model (bool list indexed by variable, slot 0 unused)
     that satisfies the clause database, or UNSAT with a core: a subset of the
     assumption literals whose conjunction with the clause database is
-    unsatisfiable. A variable taken out of branching reads False."""
+    unsatisfiable. A variable in no clause and no assumption reads False."""
 
     sat: bool
     model: list | None = None
@@ -87,11 +87,13 @@ class Solver:
         self._var_decay = 1.0 / 0.95
         # (-activity, v) entries; an entry is current while its key is still
         # -activity[v], and stale once v is bumped. _live[v] says v has a
-        # current entry: every unassigned v outside _excluded has one, and no
-        # v has two, since _cancel_until pushes only for a freed v without one.
+        # current entry. add_clause pushes one for an unassigned v at its first
+        # clause, and _cancel_until for a freed v without one (such as a v that
+        # only an assumption assigned), so every unassigned v of a clause has
+        # one and none has two; a v in no clause and no assumption is never
+        # decided.
         self._heap: list = []
         self._live = [False]
-        self._excluded: set = set()  # out of branching: never in the heap
         self._reduces = 0
         self.stats = {
             "solves": 0,
@@ -104,7 +106,8 @@ class Solver:
     # ------------------------------------------------------------- setup
 
     def reserve(self, n_vars: int) -> None:
-        """Allocate variables 1..n_vars."""
+        """Allocate variables 1..n_vars; each enters branching at its first
+        clause or assumption."""
         while self.n_vars < n_vars:
             self.n_vars += 1
             self.level.append(0)
@@ -114,20 +117,7 @@ class Solver:
             self.vals.extend((0, 0))
             self.watches.append([])
             self.watches.append([])
-            self._live.append(True)
-            heappush(self._heap, (0.0, self.n_vars))
-
-    def exclude_from_branching(self, variables) -> None:
-        """Never decide these variables. They must stay out of every clause
-        and assumption, so the solver never assigns them and every SAT model
-        reads them False."""
-        new = set(variables)
-        if new:
-            self._excluded |= new
-            self._heap = [e for e in self._heap if e[1] not in new]
-            heapify(self._heap)
-            for v in new:
-                self._live[v] = False
+            self._live.append(False)
 
     def add_clause(self, lits) -> bool:
         """Add a clause over already-reserved variables.
@@ -135,7 +125,7 @@ class Solver:
         Returns False once the database is unsatisfiable at the root.
         Tautologies are ignored; duplicate literals are dropped.
         """
-        n, vals = self.n_vars, self.vals
+        n, vals, live = self.n_vars, self.vals, self._live
         seen = set()
         cl = []  # distinct literals not yet false at the root
         satisfied = False
@@ -152,6 +142,10 @@ class Solver:
                 satisfied = True
             elif vals[c] == 0:
                 cl.append(c)
+                v = c >> 1
+                if not live[v]:  # v enters branching
+                    live[v] = True
+                    heappush(self._heap, (-self.activity[v], v))
         if not self.ok:
             return False
         if satisfied:
@@ -273,10 +267,8 @@ class Solver:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        live, excluded = self._live, self._excluded
-        for v in range(1, self.n_vars + 1):
-            live[v] = self.vals[v << 1] == 0 and v not in excluded
-        self._heap = [(-self.activity[v], v) for v in range(1, self.n_vars + 1) if live[v]]
+        live, act = self._live, self.activity
+        self._heap = [(-act[v], v) for v in range(1, self.n_vars + 1) if live[v]]
         self._heap.sort()
 
     def _analyze(self, confl):
@@ -479,8 +471,8 @@ class Solver:
         """Solve the current database under the given assumption literals.
 
         SAT outcomes carry a model extending the assumptions that assigns
-        every branching variable and leaves the variables taken out of
-        branching False; UNSAT outcomes carry a core that is a subset of the
+        every variable of a clause and leaves the variables in no clause and
+        no assumption False; UNSAT outcomes carry a core that is a subset of the
         assumptions. The solver is reusable afterwards.
         """
         self.stats["solves"] += 1

@@ -37,7 +37,9 @@ def test_dead_register_chain_is_removed_in_cascade():
     inst = MaxSatInstance(6, hard, soft)
     run = maxsat._Run(inst)
     assert run.pure == pure
-    assert run.solver._excluded == {3, 4, 5}
+    for v in (3, 4, 5):  # in no solver clause, so never in branching
+        assert not run.solver._live[v]
+        assert v not in {u for _, u in run.solver._heap}
     assert len(run.solver.clauses) == len(kept) + 3  # the unit softs enter as binaries
     for alg in ALGS:
         res = solve_instance(PartitionedInstance.single_block(inst), alg)

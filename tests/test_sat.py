@@ -186,17 +186,18 @@ def test_determinism_same_input_same_statistics():
 
 
 def assert_heap_covers_unassigned(s):
-    """Branching relies on this: every unassigned variable outside the ones
-    taken out of branching has a heap entry keyed by its current activity,
-    so an empty heap means all are assigned. No variable has two such
-    entries, _live[v] says whether v has one, and an excluded v has none."""
+    """Branching relies on this: every unassigned variable that occurs in a
+    stored clause or learnt has a heap entry keyed by its current activity,
+    so an empty heap means all of them are assigned. No variable has two
+    such entries, and _live[v] says whether v has one."""
     current = Counter(v for key, v in s._heap if key == -s.activity[v])
     assert max(current.values(), default=1) == 1
-    assert not s._excluded & {v for _, v in s._heap}
     for v in range(1, s.n_vars + 1):
         assert s._live[v] == (v in current), v
-        if s.vals[v << 1] == 0 and v not in s._excluded:
-            assert v in current, v
+    for cl in s.clauses + [cl for _, cl in s.learnts]:
+        for code in cl:
+            if s.vals[code] == 0:
+                assert code >> 1 in current, code >> 1
 
 
 @settings(max_examples=40)
@@ -349,10 +350,9 @@ def test_learnt_reduction_keeps_locked_clauses_and_watches():
 
 
 def test_variable_out_of_branching_is_never_decided_nor_assigned():
-    n, extra = 160, (161, 175, 190)
+    n, extra = 160, range(161, 191)
     clauses = random_3sat(random.Random(0), n, int(4.26 * n))
-    s = make_solver(190, clauses)  # 162..189 stay in branching, in no clause
-    s.exclude_from_branching(extra)
+    s = make_solver(190, clauses)  # 161..190 are reserved but in no clause
     s._var_inc = 1e95  # activities are rescaled within a few hundred conflicts
     picks = []
     pick_branch = s._pick_branch
@@ -368,11 +368,10 @@ def test_variable_out_of_branching_is_never_decided_nor_assigned():
     out = s.solve()
     assert s._var_inc < 1e95  # rescaled, so _rebuild_heap ran mid-search
     assert s.stats["conflicts"] > 0 and not set(extra) & set(picks)
-    assert 162 in picks and 189 in picks
     assert_heap_covers_unassigned(s)
     assert out.sat
     check_model(clauses, out.model)
-    assert [out.model[v] for v in extra] == [False, False, False]
+    assert not any(out.model[v] for v in extra)
     s._rebuild_heap()
     assert_heap_covers_unassigned(s)
     rng = random.Random(1)
@@ -382,4 +381,31 @@ def test_variable_out_of_branching_is_never_decided_nor_assigned():
         assert_heap_covers_unassigned(s)
         assert not set(extra) & set(picks)
         if got.sat:
-            assert [got.model[v] for v in extra] == [False, False, False]
+            assert not any(got.model[v] for v in extra)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_unused_variables_do_not_change_the_search(seed):
+    n = 30
+    clauses = random_3sat(random.Random(seed), n, 125)
+
+    def run(n_vars):
+        s = make_solver(n_vars, clauses)
+        outs = [s.solve(), s.solve(assumptions=(1, -2))]
+        return [(o.sat, o.model[: n + 1] if o.sat else o.core) for o in outs], s.stats
+
+    assert run(n) == run(n + 10)
+
+
+def test_assumption_only_variable_enters_branching():
+    s = make_solver(3, [(1, 2), (-1, 2)])
+    assert not s._live[3]
+    out = s.solve(assumptions=(3,))
+    assert out.sat and out.model[3]
+    assert s._live[3] and (-s.activity[3], 3) in s._heap
+    assert_heap_covers_unassigned(s)
+    # the second call decides 3 itself, and phase saving keeps the value
+    # that the assumption gave it
+    out = s.solve()
+    assert out.sat and out.model[3]
+    assert s.stats["decisions"] == 4  # -1 and 3 in each call
