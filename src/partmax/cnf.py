@@ -8,7 +8,7 @@ represented by the TAUTOLOGY marker instead of a tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 # Weight arithmetic is pinned to the unsigned 64-bit range; exceeding it on
 # summation is a hard error rather than a silent wrap or an unbounded int.
@@ -71,10 +71,11 @@ def eliminate_pure_literals(clauses, n_vars: int, frozen) -> tuple:
 
     Repeatedly drops every clause holding a pure literal (one whose
     complement is in no remaining clause) of an unfrozen variable. Returns
-    (kept, pure): the remaining clauses in their original order, and one
-    literal per eliminated variable; no eliminated variable occurs in kept.
-    Every dropped clause holds a literal of pure, so making all of pure true
-    extends any model of kept to a model of clauses. Linear in their size.
+    (kept, pure): the ascending indices of the remaining clauses, and one
+    literal per eliminated variable; no eliminated variable occurs in a kept
+    clause. Every dropped clause holds a literal of pure, so making all of
+    pure true extends any model of the kept clauses to a model of clauses.
+    Linear in their size.
     """
     count = [0] * (2 * n_vars + 1)  # remaining clauses holding lit, at lit + n_vars
     occurs: list = [[] for _ in range(n_vars + 1)]  # clause indices per variable
@@ -102,7 +103,7 @@ def eliminate_pure_literals(clauses, n_vars: int, frozen) -> tuple:
                     count[lit + n_vars] -= 1
                     if not count[lit + n_vars] and not done[abs(lit)]:
                         queue.append(abs(lit))
-    return [cl for cl, k in zip(clauses, kept) if k], pure
+    return [i for i, k in enumerate(kept) if k], pure
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,10 @@ class MaxSatInstance:
     def soft_weight_sum(self) -> int:
         return sum(s.weight for s in self.soft)
 
+    def soft_vars(self) -> set:
+        """The soft clauses' variables: pure-literal elimination freezes them."""
+        return {abs(lit) for s in self.soft for lit in s.lits}
+
     def validate(self) -> None:
         for cl in self.hard:
             for lit in cl:
@@ -169,11 +174,16 @@ class PartitionedInstance:
 
     Hard-clause labels are advisory metadata retained from pwcnf input; the
     solving algorithms partition soft clauses only.
+
+    `elimination` holds what `eliminate_pure_literals` returned for base's
+    hard clauses with the soft-clause variables frozen, when the partitioning
+    step has already run it, so that the solver does not run it again.
     """
 
     base: MaxSatInstance
     n_part: int
     hard_labels: list | None = None
+    elimination: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         self.base.validate()

@@ -1,6 +1,6 @@
 """Graph views of a MaxSAT formula and modularity-based partition derivation.
 
-Three representations are built from all clauses, hard and soft:
+Three representations are built from the clauses of a formula:
 
 - vig: one node per variable; each clause with n >= 2 distinct variables
   adds 1/C(n,2) to the edge weight of every variable pair it contains.
@@ -17,6 +17,12 @@ Communities found by modularity maximization over these graphs (local moves
 from a node queue, then aggregation) become soft-clause partition labels.
 Edge weights are integers over the common denominator `scale`; exact sums do
 not depend on clause order.
+
+`partition_by_graph` departs from the paper, which builds the graph of the
+whole input formula: it builds the graph of the formula the solver sees.
+That is the hard clauses left by pure-literal elimination (with the soft
+clauses' variables frozen, as in `maxsat`) plus the soft clauses, over
+dense variable ids. The dropped hard clauses take the advisory label 1.
 """
 
 from __future__ import annotations
@@ -27,7 +33,14 @@ from collections import deque
 from dataclasses import dataclass, replace
 from math import comb, lcm
 
-from .cnf import TAUTOLOGY, MaxSatInstance, PartitionedInstance, resolve
+from .cnf import (
+    TAUTOLOGY,
+    MaxSatInstance,
+    PartitionedInstance,
+    SoftClause,
+    eliminate_pure_literals,
+    resolve,
+)
 
 
 class ResolutionGraphTooLarge(Exception):
@@ -296,6 +309,21 @@ def derive_partitions(
     return _renumber(inst, raw, hard_raw)
 
 
+def _kept_formula(inst: MaxSatInstance, kept) -> MaxSatInstance:
+    """The hard clauses at indices `kept`, then every soft clause, over dense
+    variable ids: the variables occurring in them, numbered from 1 in
+    ascending order."""
+    hard = [inst.hard[i] for i in kept]
+    used = sorted({abs(lit) for cl in hard for lit in cl} | inst.soft_vars())
+    ids = {v: k for k, v in enumerate(used, 1)}
+
+    def dense(cl):
+        return tuple(ids[lit] if lit > 0 else -ids[-lit] for lit in cl)
+
+    soft = [SoftClause(dense(s.lits), s.weight) for s in inst.soft]
+    return MaxSatInstance(len(used), [dense(cl) for cl in hard], soft, inst.top)
+
+
 def partition_by_graph(
     inst: MaxSatInstance,
     repr_kind: str,
@@ -303,6 +331,14 @@ def partition_by_graph(
     max_pairs: int | None = None,
 ) -> PartitionedInstance:
     """Build the requested graph, find communities, derive partitions.
+
+    The graph is built over the formula the solver sees, not over all of
+    inst: pure-literal elimination (soft-clause variables frozen) runs once,
+    and the kept hard clauses plus the soft clauses, over dense variable
+    ids, make the graph. Soft clauses take their derived labels, kept hard
+    clauses theirs, and dropped hard clauses the advisory label 1. The
+    result holds all of inst, clauses in their order, and carries the
+    elimination to `solve_instance` in `elimination`.
 
     Degenerate cases (no soft clauses, an oversized resolution graph) fall
     back to a single partition with a warning.
@@ -313,13 +349,23 @@ def partition_by_graph(
         raise ValueError(f"unknown representation {repr_kind!r}")
     if not inst.soft:
         return PartitionedInstance.single_block(inst)
+    elimination = kept, _ = eliminate_pure_literals(inst.hard, inst.n_vars, inst.soft_vars())
+    formula = _kept_formula(inst, kept)
     try:
-        g = builds[repr_kind](inst)
+        g = builds[repr_kind](formula)
     except ResolutionGraphTooLarge as exc:
         warnings.warn(f"{exc}; falling back to a single partition", stacklevel=2)
-        return PartitionedInstance.single_block(inst)
-    ca = detect_communities(g, seed=seed)
-    return derive_partitions(inst, ca, repr_kind)
+        out = PartitionedInstance.single_block(inst)
+    else:
+        derived = derive_partitions(formula, detect_communities(g, seed=seed), repr_kind)
+        soft = [replace(s, part=d.part) for s, d in zip(inst.soft, derived.base.soft)]
+        hard_labels = [1] * len(inst.hard)
+        for i, label in zip(kept, derived.hard_labels):
+            hard_labels[i] = label
+        base = MaxSatInstance(inst.n_vars, list(inst.hard), soft, inst.top)
+        out = PartitionedInstance(base, derived.n_part, hard_labels)
+    out.elimination = elimination
+    return out
 
 
 def random_partition(inst: MaxSatInstance, k: int, seed: int = 0) -> PartitionedInstance:

@@ -89,19 +89,22 @@ class _Run:
     left by pure-literal elimination plus one guarded copy of every soft
     clause; tracks the best model seen across all SAT calls. An eliminated
     variable enters no solver clause, so the solver never decides it; `pure`
-    holds the literal that it takes in a returned model."""
+    holds the literal that it takes in a returned model. `elimination` is
+    that pass's result when the caller already has it (see
+    PartitionedInstance.elimination)."""
 
-    def __init__(self, inst: MaxSatInstance, budget: float | None = None):
+    def __init__(self, inst: MaxSatInstance, budget: float | None = None, elimination=None):
         self.inst = inst
         deadline = None if budget is None else time.monotonic() + budget
         self.solver = Solver(deadline=deadline)
         n_guarded = inst.n_vars + len(inst.soft)
         self.alloc = VarAllocator(n_guarded)
         self.solver.reserve(n_guarded)
-        frozen = {abs(lit) for s in inst.soft for lit in s.lits}
-        hard, self.pure = eliminate_pure_literals(inst.hard, inst.n_vars, frozen)
-        for cl in hard:
-            self.solver.add_clause(cl)
+        if elimination is None:
+            elimination = eliminate_pure_literals(inst.hard, inst.n_vars, inst.soft_vars())
+        kept, self.pure = elimination
+        for i in kept:
+            self.solver.add_clause(inst.hard[i])
         self.guards = range(inst.n_vars + 1, n_guarded + 1)  # guard of soft i
         for s, g in zip(inst.soft, self.guards):
             self.solver.add_clause(tuple(s.lits) + (g,))
@@ -376,7 +379,7 @@ def solve_instance(
     alg = AlgorithmKind(alg)
     pinst.validate()
     t0 = time.monotonic()
-    run = _Run(pinst.base, budget)
+    run = _Run(pinst.base, budget, pinst.elimination)
     blocks = pinst.blocks() or {1: []}
     run.stats.n_partitions = len(blocks)
     parts: dict = {}  # label -> (_Block, labels of the blocks merged into it)

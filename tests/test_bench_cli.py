@@ -10,6 +10,7 @@ import pytest
 from conftest import TWO_TRIANGLES_PWCNF, TWO_TRIANGLES_WCNF
 from partmax import bench
 from partmax.cli import main
+from partmax.cnf import eliminate_pure_literals
 from partmax.formats import parse_pwcnf
 
 ALL_ALGS = ["lsu", "msu3", "oll", "wbo"]
@@ -272,6 +273,37 @@ def test_cli_partition_res(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "partition", str(f), "--strategy", "res")
     assert code == 0
     assert parse_pwcnf(out).n_part == 3
+
+
+@pytest.mark.parametrize("kind", ["vig", "cvig", "res"])
+def test_cli_partition_keeps_every_clause_of_a_formula_with_pure_variables(
+    tmp_path, capsys, kind
+):
+    out_dir = tmp_path / "g"
+    code, _, _ = run_cli(
+        capsys, "gen", "seating", "--count", "1", "--out-dir", str(out_dir), "--seed", "7",
+        "--min-persons", "10", "--max-persons", "10",
+    )
+    assert code == 0
+    (path,) = out_dir.glob("*.pwcnf")
+    given = parse_pwcnf(path.read_text()).base
+    kept, pure = eliminate_pure_literals(given.hard, given.n_vars, given.soft_vars())
+    assert pure, "the generated instance has hard-only pure variables"
+    code, out, _ = run_cli(capsys, "partition", str(path), "--strategy", kind)
+    assert code == 0
+    written = parse_pwcnf(out)
+    assert written.base.hard == given.hard
+    assert [s.lits for s in written.base.soft] == [s.lits for s in given.soft]
+    dropped = set(range(len(given.hard))) - set(kept)
+    assert dropped and all(written.hard_labels[i] == 1 for i in dropped)
+
+    labelled = tmp_path / "labelled.pwcnf"
+    labelled.write_text(out)
+    cost = lambda s: next(l for l in s.splitlines() if l.startswith("o "))
+    code, user, _ = run_cli(capsys, "solve", str(labelled), "--strategy", "user")
+    code2, none, _ = run_cli(capsys, "solve", str(path), "--strategy", "none")
+    assert code == code2 == 0
+    assert cost(user) == cost(none)
 
 
 def test_cli_partition_random_caps_at_soft_count(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_valid_result
 from oracles import brute_force_maxsat
-from partmax import maxsat
+from partmax import bench, graphs, maxsat
 from partmax.cnf import MaxSatInstance, PartitionedInstance, SoftClause, eliminate_pure_literals
 from partmax.encoders import (
     MscGenConfig,
@@ -18,10 +18,12 @@ from partmax.encoders import (
     gen_msc,
     gen_seating,
 )
+from partmax.graphs import partition_by_graph
 from partmax.maxsat import AlgorithmKind, Status, solve_instance
 from partmax.sat import SolverTimeout
 
 ALGS = tuple(a.value for a in AlgorithmKind)
+CORE_ALGS = ("msu3", "oll", "wbo")
 
 
 def test_dead_register_chain_is_removed_in_cascade():
@@ -29,7 +31,8 @@ def test_dead_register_chain_is_removed_in_cascade():
     # pure. 6 occurs in both polarities, and 1 and 2 are in soft clauses.
     hard = [(-1, 3), (6, 2), (-3, 4), (1, 2), (-4, 5), (-6, -2), (-1, -2)]
     kept, pure = eliminate_pure_literals(hard, 6, frozen={1, 2})
-    assert kept == [(6, 2), (1, 2), (-6, -2), (-1, -2)]
+    assert kept == [1, 3, 5, 6]
+    assert [hard[i] for i in kept] == [(6, 2), (1, 2), (-6, -2), (-1, -2)]
     assert sorted(pure) == [3, 4, 5]
 
     # the optimum sets 1, so (-1, 3) holds only through the extension
@@ -51,7 +54,7 @@ def test_dead_register_chain_is_removed_in_cascade():
 def test_frozen_and_two_polarity_variables_stay():
     # nothing is pure outside the frozen set: 3 occurs both ways, 4 never
     hard = [(1, 3), (-3, 2), (-1, -2, 3)]
-    assert eliminate_pure_literals(hard, 4, frozen={1, 2}) == (hard, [])
+    assert eliminate_pure_literals(hard, 4, frozen={1, 2}) == ([0, 1, 2], [])
     # a variable whose clauses both go with other pure variables takes -v
     kept, pure = eliminate_pure_literals([(3, 4), (-3, 5)], 5, frozen=())
     assert kept == [] and {abs(l) for l in pure} == {3, 4, 5}
@@ -100,6 +103,24 @@ def test_elimination_keeps_every_optimum(inst):
                 assert res.status == Status.HARD_UNSAT
                 continue
             assert res.status == Status.OPTIMUM and res.cost == want, alg
+            assert_valid_result(inst, res)
+
+
+@settings(max_examples=40)
+@given(instances_with_pure_variables())
+def test_graph_partitions_of_the_kept_formula_keep_every_optimum(inst):
+    want, _ = brute_force_maxsat(inst)
+    for kind in ("vig", "cvig", "res"):
+        pinst = partition_by_graph(inst, kind, seed=0)
+        pinst.validate()
+        assert len(pinst.hard_labels) == len(inst.hard)
+        assert pinst.base.hard == inst.hard
+        for alg in CORE_ALGS:
+            res = solve_instance(pinst, alg)
+            if want is None:
+                assert res.status == Status.HARD_UNSAT
+                continue
+            assert res.status == Status.OPTIMUM and res.cost == want, (kind, alg)
             assert_valid_result(inst, res)
 
 
@@ -160,3 +181,24 @@ def test_timeout_model_satisfies_the_dropped_clauses(alg, monkeypatch):
     assert res.status == Status.TIMEOUT and res.model is not None
     assert inst.hard_satisfied(res.model)
     assert inst.cost_of(res.model) == res.cost
+
+
+@pytest.mark.parametrize("strategy", ["none", "user", "vig", "cvig", "res", "random:2"])
+def test_one_elimination_pass_per_job(strategy, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate_pure_literals(*args)
+
+    monkeypatch.setattr(graphs, "eliminate_pure_literals", counted)
+    monkeypatch.setattr(maxsat, "eliminate_pure_literals", counted)
+    pinst = _seating(1)
+    want = solve_instance(PartitionedInstance.single_block(pinst.base), "oll").cost
+    for alg in ALGS:
+        calls.clear()
+        job = bench.apply_strategy("pwcnf", pinst, strategy)
+        res = solve_instance(job, alg)
+        assert len(calls) == 1, (strategy, alg)
+        assert res.status == Status.OPTIMUM and res.cost == want
+        assert_valid_result(pinst.base, res)
