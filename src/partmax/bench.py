@@ -84,11 +84,8 @@ def load_file(path: str, strategy: str, seed: int = 0) -> PartitionedInstance:
 
 
 def solve_file(path: str, alg: str, strategy: str, timeout: float | None, seed: int = 0):
-    """Parse, partition per strategy, and solve one file. Returns the
-    SolveResult and the partition count used."""
-    pinst = load_file(path, strategy, seed)
-    res = solve_instance(pinst, AlgorithmKind(alg), budget=timeout)
-    return res, pinst.n_part
+    """Parse, partition per strategy, and solve one file."""
+    return solve_instance(load_file(path, strategy, seed), AlgorithmKind(alg), budget=timeout)
 
 
 def _set_mem_limit(mem_limit_mb):
@@ -110,7 +107,7 @@ def _bench_worker(task):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res, _ = solve_file(path, alg, strategy, timeout, seed)
+            res = solve_file(path, alg, strategy, timeout, seed)
         return RunRecord(
             instance=name,
             alg=alg,

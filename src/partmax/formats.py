@@ -8,14 +8,13 @@ pwcnf grammar:
 
 Clauses with weight == topw are hard; all others are soft and must have
 weight below topw. Partition labels run 1..n_part. Comment lines starting
-with 'c' are allowed anywhere, and a clause's tokens may wrap across lines
-until the terminating 0.
+with 'c' are allowed anywhere. The header is one line; clause tokens may
+wrap across lines until the terminating 0.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .cnf import (
     MAX_WEIGHT_SUM,
@@ -27,72 +26,68 @@ from .cnf import (
 )
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    line: int
-    severity: str  # "error" | "warning"
-    message: str
-
-    def __str__(self):
-        return f"line {self.line}: {self.message}"
-
-
 class ParseError(Exception):
+    """Malformed input: `message` at 1-based `line`; str() reads 'line N: message'."""
+
     def __init__(self, line: int, message: str):
-        self.diagnostic = ParseDiagnostic(line, "error", message)
-        super().__init__(str(self.diagnostic))
+        self.line = line
+        self.message = message
+        super().__init__(f"line {line}: {message}")
 
 
 class FormatWarning(UserWarning):
     pass
 
 
-def _token_stream(text):
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8", errors="replace")
-    for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        for tok in stripped.split():
-            yield ln, tok
-
-
-def _int_token(ln: int, tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(ln, f"expected {what}, got {tok!r}") from None
-
-
 def _parse(text, fmt: str | None):
     """Parse wcnf or pwcnf; with fmt None, the header's format tag decides."""
-    toks = _token_stream(text)
-    try:
-        ln, tok = next(toks)
-    except StopIteration:
-        raise ParseError(1, "missing header") from None
-    if tok != "p":
-        raise ParseError(ln, f"missing header: expected 'p', got {tok!r}")
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode("utf-8", errors="replace")
+    toks, lines = [], []  # every non-comment token, and the line it sits on
+    for ln, line in enumerate(text.splitlines(), start=1):
+        words = line.split()
+        if words and not words[0].startswith("c"):
+            toks += words
+            lines += [ln] * len(words)
+    n_toks = len(toks)
+    pos = 0
 
-    def header_token():
+    def take(what: str, line: int, missing: str) -> int:
+        """The next token as an int named `what` in its diagnostic;
+        ParseError(line, missing) at end of input."""
+        nonlocal pos
+        if pos == n_toks:
+            raise ParseError(line, missing)
+        tok = toks[pos]
+        pos += 1
         try:
-            return next(toks)
-        except StopIteration:
-            raise ParseError(ln, "truncated header") from None
+            return int(tok)
+        except ValueError:
+            raise ParseError(lines[pos - 1], f"expected {what}, got {tok!r}") from None
 
-    tag_ln, tag = header_token()
+    if not toks:
+        raise ParseError(1, "missing header")
+    ln = lines[0]
+    if toks[0] != "p":
+        raise ParseError(ln, f"missing header: expected 'p', got {toks[0]!r}")
+    # the header's fields sit on its line; tokens after them start a clause
+    on_header_line = lines[:6].count(ln)
+    if on_header_line < 2:
+        raise ParseError(ln, "truncated header")
+    tag = toks[1]
     if fmt is None:
         if tag not in ("wcnf", "pwcnf"):
-            raise ParseError(tag_ln, f"unknown format {tag!r}")
+            raise ParseError(ln, f"unknown format {tag!r}")
         fmt = tag
-    fields = [header_token() for _ in range(4 if fmt == "pwcnf" else 3)]
+    if on_header_line < (6 if fmt == "pwcnf" else 5):
+        raise ParseError(ln, "truncated header")
     if tag != fmt:
-        raise ParseError(tag_ln, f"expected '{fmt}' header, got {tag!r}")
-    n_vars = _int_token(*fields[0], "variable count")
-    n_clauses = _int_token(*fields[1], "clause count")
-    top = _int_token(*fields[2], "top weight")
-    n_part = _int_token(*fields[3], "partition count") if fmt == "pwcnf" else 0
+        raise ParseError(ln, f"expected '{fmt}' header, got {tag!r}")
+    pos = 2
+    n_vars = take("variable count", ln, "truncated header")
+    n_clauses = take("clause count", ln, "truncated header")
+    top = take("top weight", ln, "truncated header")
+    n_part = take("partition count", ln, "truncated header") if fmt == "pwcnf" else 0
     if n_vars < 0 or n_clauses < 0:
         raise ParseError(ln, "header counts must be nonnegative")
     if top < 1:
@@ -103,44 +98,27 @@ def _parse(text, fmt: str | None):
     hard, hard_labels, soft = [], [], []
     clauses_read = 0
     soft_weight_sum = 0
-    last_line = ln
-    while True:
-        try:
-            ln, tok = next(toks)
-        except StopIteration:
-            break
-        last_line = ln
-        if tok == "p":
-            raise ParseError(ln, "duplicate header")
-        start_line = ln
+    unterminated = "clause not terminated by 0"
+    while pos < n_toks:
+        start_line = lines[pos]
+        if toks[pos] == "p":
+            raise ParseError(start_line, "duplicate header")
+        part = 0
         if fmt == "pwcnf":
-            part = _int_token(ln, tok, "partition label")
+            part = take("partition label", start_line, unterminated)
             if not 1 <= part <= n_part:
-                raise ParseError(ln, f"partition label {part} outside 1..{n_part}")
-            try:
-                ln, tok = next(toks)
-            except StopIteration:
-                raise ParseError(start_line, "clause not terminated by 0") from None
-            weight = _int_token(ln, tok, "clause weight")
-        else:
-            part = 0
-            weight = _int_token(ln, tok, "clause weight")
+                raise ParseError(start_line, f"partition label {part} outside 1..{n_part}")
+        weight = take("clause weight", start_line, unterminated)
         if weight > top:
             raise ParseError(start_line, f"soft weight {weight} exceeds top {top}")
         if weight < 1:
             raise ParseError(start_line, f"clause weight must be >= 1, got {weight}")
         lits = []
-        while True:
-            try:
-                ln, tok = next(toks)
-            except StopIteration:
-                raise ParseError(start_line, "clause not terminated by 0") from None
-            last_line = ln
-            lit = _int_token(ln, tok, "literal")
-            if lit == 0:
-                break
+        while lit := take("literal", start_line, unterminated):
             if abs(lit) > n_vars:
-                raise ParseError(ln, f"literal {lit} outside declared variables 1..{n_vars}")
+                raise ParseError(
+                    lines[pos - 1], f"literal {lit} outside declared variables 1..{n_vars}"
+                )
             lits.append(lit)
         clauses_read += 1
         cl = make_clause(lits)
@@ -158,8 +136,9 @@ def _parse(text, fmt: str | None):
             if soft_weight_sum > MAX_WEIGHT_SUM:
                 raise ParseError(start_line, "sum of soft weights exceeds the 64-bit range")
     if clauses_read != n_clauses:
+        # every token is read by now, so the last one's line ends the input
         raise ParseError(
-            last_line, f"header declares {n_clauses} clauses but {clauses_read} were read"
+            lines[-1], f"header declares {n_clauses} clauses but {clauses_read} were read"
         )
     inst = MaxSatInstance(n_vars=n_vars, hard=hard, soft=soft, top=top)
     if fmt == "pwcnf":
@@ -170,8 +149,8 @@ def _parse(text, fmt: str | None):
 def parse_pwcnf(text) -> PartitionedInstance:
     """Parse pwcnf text or bytes into a PartitionedInstance.
 
-    Raises ParseError (carrying a line-numbered diagnostic) on malformed
-    input; emits FormatWarning for dropped tautological clauses.
+    Raises ParseError (with its line and message) on malformed input;
+    emits FormatWarning for dropped tautological clauses.
     """
     return _parse(text, "pwcnf")
 
@@ -207,23 +186,6 @@ def write_pwcnf(pinst: PartitionedInstance) -> str:
     for s in base.soft:
         lines.append(" ".join([str(s.part), str(s.weight), *map(str, s.lits), "0"]))
     return "\n".join(lines) + "\n"
-
-
-def semantically_equal(a: PartitionedInstance, b: PartitionedInstance) -> bool:
-    """Same hard clause set, same (clause, weight, label) soft multiset,
-    same variable count and partition count."""
-    ka = sorted(sorted(cl) for cl in a.base.hard)
-    kb = sorted(sorted(cl) for cl in b.base.hard)
-    if ka != kb:
-        return False
-    sa = sorted((tuple(sorted(s.lits)), s.weight, s.part) for s in a.base.soft)
-    sb = sorted((tuple(sorted(s.lits)), s.weight, s.part) for s in b.base.soft)
-    return (
-        sa == sb
-        and a.base.n_vars == b.base.n_vars
-        and a.base.top == b.base.top
-        and a.n_part == b.n_part
-    )
 
 
 def write_solution(result) -> str:

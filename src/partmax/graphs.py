@@ -34,12 +34,10 @@ from dataclasses import dataclass, replace
 from math import comb, lcm
 
 from .cnf import (
-    TAUTOLOGY,
     MaxSatInstance,
     PartitionedInstance,
     SoftClause,
     eliminate_pure_literals,
-    resolve,
 )
 
 
@@ -108,10 +106,11 @@ def build_cvig(inst: MaxSatInstance) -> WeightedGraph:
 def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGraph:
     """Resolution graph. Examines only clause pairs sharing a complementary
     literal; raises ResolutionGraphTooLarge past max_pairs candidate pairs.
-    For clauses with literal sets Li, Lj and variable sets Vi, Vj, neither a
-    tautology, the resolvent on v has |Li | Lj| - 2 literals over
-    |Vi | Vj| - 1 variables and is trivial iff it has more literals than
-    variables; a pair with a tautological clause goes through `resolve`."""
+    For clauses with literal sets Li, Lj and variable sets Vi, Vj, the
+    resolvent on v (v in Li, -v in Lj) loses literal v unless v is in Lj,
+    and -v unless -v is in Li. It has |Li | Lj| literals less those lost,
+    over |Vi | Vj| variables less v when both are lost, and is trivial iff
+    it has more literals than variables."""
     clauses = _all_clauses(inst)
     # a resolvent keeps at most 2 * longest - 2 literals
     longest = max((len(cl) for cl in clauses), default=0)
@@ -132,17 +131,13 @@ def build_res(inst: MaxSatInstance, max_pairs: int | None = None) -> WeightedGra
             )
         for ci in pos[v]:
             li, vi = lit_sets[ci], var_sets[ci]
+            gone_nv = -v not in li
             for cj in neg[v]:
                 lj, vj = lit_sets[cj], var_sets[cj]
-                if len(li) == len(vi) and len(lj) == len(vj):
-                    n = len(li | lj) - 2
-                    if n > len(vi | vj) - 1:
-                        continue
-                else:
-                    r = resolve(clauses[ci], clauses[cj], v)
-                    if r is TAUTOLOGY:
-                        continue
-                    n = len(r)
+                gone_v = v not in lj
+                n = len(li | lj) - gone_v - gone_nv
+                if n > len(vi | vj) - (gone_v and gone_nv):
+                    continue
                 # a pair met on a second variable clashes on two, so all its
                 # resolvents are trivial and each edge is set once; the empty
                 # resolvent of contradictory units is clamped to weight 1

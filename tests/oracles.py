@@ -2,7 +2,8 @@
 
 Nothing here imports the solver or encoder code paths it checks: DPLL for
 satisfiability, exhaustive enumeration for MaxSAT optima and problem-level
-optima, and a from-the-definition modularity with exact fractions.
+optima, a from-the-definition modularity with exact fractions, and
+instance equality up to clause order.
 """
 
 from __future__ import annotations
@@ -206,3 +207,24 @@ def best_modularity_partition(edges, nodes):
         if best_q is None or q > best_q:
             best_q, best_part = q, part
     return best_q, best_part
+
+
+# ------------------------------------------------------ instance equality
+
+
+def semantically_equal(a, b) -> bool:
+    """Two PartitionedInstances with the same hard clause set, the same
+    (clause, weight, label) soft multiset, variable count, top weight and
+    partition count."""
+    ka = sorted(sorted(cl) for cl in a.base.hard)
+    kb = sorted(sorted(cl) for cl in b.base.hard)
+    if ka != kb:
+        return False
+    sa = sorted((tuple(sorted(s.lits)), s.weight, s.part) for s in a.base.soft)
+    sb = sorted((tuple(sorted(s.lits)), s.weight, s.part) for s in b.base.soft)
+    return (
+        sa == sb
+        and a.base.n_vars == b.base.n_vars
+        and a.base.top == b.base.top
+        and a.n_part == b.n_part
+    )

@@ -15,6 +15,7 @@ from oracles import (
     brute_force_seating,
     dpll_satisfiable,
     projection_satisfiable,
+    semantically_equal,
 )
 from partmax.bench import apply_strategy
 from partmax.cards import GenTotalizer, Totalizer, encode_at_least_k, encode_at_most_k
@@ -28,7 +29,7 @@ from partmax.encoders import (
     encode_seating,
     gen_seating,
 )
-from partmax.formats import parse_pwcnf, semantically_equal, write_pwcnf
+from partmax.formats import parse_pwcnf, write_pwcnf
 from partmax.graphs import partition_by_graph
 from partmax.maxsat import Status, solve_instance
 from partmax.sat import Solver

@@ -256,6 +256,17 @@ def test_cli_unparsable_file_is_reported(tmp_path, capsys):
     assert "error" in err
 
 
+def test_cli_short_header_is_reported(tmp_path, capsys):
+    # the header line lacks the top weight; read from the first clause, it
+    # would make this satisfiable file hard-unsatisfiable
+    f = tmp_path / "short.wcnf"
+    f.write_text("p wcnf 2 2\n1 1 0\n1 -1 2 0\n")
+    code, out, err = run_cli(capsys, "solve", str(f))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {f}: line 1: truncated header\n"
+
+
 def test_cli_partition_vig(tmp_path, capsys):
     f = tmp_path / "t.wcnf"
     f.write_text(TWO_TRIANGLES_WCNF)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_force_msc, brute_force_seating
+from oracles import brute_force_msc, brute_force_seating, semantically_equal
 from partmax.encoders import (
     MscGenConfig,
     MscProblem,
@@ -17,7 +17,7 @@ from partmax.encoders import (
     gen_seating,
     generate_corpus,
 )
-from partmax.formats import parse_pwcnf, semantically_equal, write_pwcnf
+from partmax.formats import parse_pwcnf, write_pwcnf
 from partmax.maxsat import solve_instance
 
 # Reference problems: a triangle with a pendant vertex and four colors, and

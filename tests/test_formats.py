@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TWO_TRIANGLES_PWCNF, TWO_TRIANGLES_WCNF
+from oracles import semantically_equal
 from partmax.cnf import MaxSatInstance, PartitionedInstance, SoftClause
 from partmax.formats import (
     FormatWarning,
@@ -10,7 +11,6 @@ from partmax.formats import (
     detect_and_parse,
     parse_pwcnf,
     parse_wcnf,
-    semantically_equal,
     write_pwcnf,
     write_solution,
 )
@@ -133,10 +133,77 @@ def test_parse_diagnostics_carry_line_numbers():
     try:
         parse_wcnf("p wcnf 1 1 3\nc comment\n3 junk 0\n")
     except ParseError as exc:
-        assert exc.diagnostic.line == 3
-        assert exc.diagnostic.severity == "error"
+        assert exc.line == 3
     else:
         pytest.fail("expected a ParseError")
+
+
+# One malformed text per ParseError path of the parser, with the exact
+# line and message of its diagnostic.
+BIG = 2**64
+DIAGNOSTICS = [
+    ("wcnf", "", 1, "missing header"),
+    ("wcnf", "c only a comment\n3 1 0\n", 2, "missing header: expected 'p', got '3'"),
+    ("wcnf", "p\n", 1, "truncated header"),
+    ("wcnf", "p wcnf 1 1\n", 1, "truncated header"),
+    ("wcnf", "p wcnf 2 2\n1 1 0\n1 -1 2 0\n", 1, "truncated header"),
+    ("pwcnf", "p pwcnf 2 1 5\n1 5 1 2 0\n", 1, "truncated header"),
+    ("detect", "p\nwcnf 1 1 3\n3 1 0\n", 1, "truncated header"),
+    ("wcnf", "p wcnf 1 2 3\n3 1 0\np wcnf 1 1 3\n", 3, "duplicate header"),
+    ("detect", "p cnf 1 1\n1 0\n", 1, "unknown format 'cnf'"),
+    ("pwcnf", "p wcnf 1 1 3 1\n1 3 1 0\n", 1, "expected 'pwcnf' header, got 'wcnf'"),
+    ("wcnf", "p pwcnf 1 1 3\n3 1 0\n", 1, "expected 'wcnf' header, got 'pwcnf'"),
+    ("wcnf", "p wcnf x 1 3\n", 1, "expected variable count, got 'x'"),
+    ("wcnf", "p wcnf 1 x 3\n", 1, "expected clause count, got 'x'"),
+    ("wcnf", "p wcnf 1 1 x\n", 1, "expected top weight, got 'x'"),
+    ("pwcnf", "p pwcnf 1 1 3 x\n", 1, "expected partition count, got 'x'"),
+    ("wcnf", "p wcnf -1 0 3\n", 1, "header counts must be nonnegative"),
+    ("wcnf", "p wcnf 1 -1 3\n", 1, "header counts must be nonnegative"),
+    ("wcnf", "p wcnf 1 0 0\n", 1, "top weight must be >= 1, got 0"),
+    ("pwcnf", "p pwcnf 1 0 3 0\n", 1, "n_part must be >= 1, got 0"),
+    ("pwcnf", "p pwcnf 1 1 3 1\nx 3 1 0\n", 2, "expected partition label, got 'x'"),
+    ("pwcnf", "p pwcnf 1 1 2 1\n2 1 1 0\n", 2, "partition label 2 outside 1..1"),
+    ("pwcnf", "p pwcnf 1 1 2 1\n0 1 1 0\n", 2, "partition label 0 outside 1..1"),
+    ("pwcnf", "p pwcnf 1 1 3 1\nc\n1\n", 3, "clause not terminated by 0"),
+    ("pwcnf", "p pwcnf 1 1 3 1\n1 x 1 0\n", 2, "expected clause weight, got 'x'"),
+    ("wcnf", "p wcnf 1 1 3\nx 1 0\n", 2, "expected clause weight, got 'x'"),
+    ("wcnf", "p wcnf 1 1 3\n3\n", 2, "clause not terminated by 0"),
+    ("wcnf", "p wcnf 2 1 3\n3 1\n2\n", 2, "clause not terminated by 0"),
+    ("wcnf", "p wcnf 1 1 7\n8 -1 0\n", 2, "soft weight 8 exceeds top 7"),
+    ("wcnf", "p wcnf 1 1 3\n0 1 0\n", 2, "clause weight must be >= 1, got 0"),
+    ("wcnf", "p wcnf 1 1 3\n-2 1 0\n", 2, "clause weight must be >= 1, got -2"),
+    ("wcnf", "p wcnf 1 1 3\nc comment\n3 junk 0\n", 3, "expected literal, got 'junk'"),
+    ("wcnf", "p wcnf 1 1 3\n3\nx 0\n", 3, "expected literal, got 'x'"),
+    ("wcnf", "p wcnf 1 1 3\n3\n-2 0\n", 3, "literal -2 outside declared variables 1..1"),
+    (
+        "wcnf",
+        f"p wcnf 1 2 {BIG}\n{BIG // 2} 1 0\n{BIG // 2} -1 0\n",
+        3,
+        "sum of soft weights exceeds the 64-bit range",
+    ),
+    ("wcnf", "p wcnf 1 2 3\n3 1 0\nc tail\n", 2, "header declares 2 clauses but 1 were read"),
+    ("wcnf", "p wcnf 1 1 3\n\nc nothing\n", 1, "header declares 1 clauses but 0 were read"),
+    ("wcnf", "p wcnf 1 1 3\n3 1 0\n3 -1 0\n", 3, "header declares 1 clauses but 2 were read"),
+]
+PARSERS = {"wcnf": parse_wcnf, "pwcnf": parse_pwcnf, "detect": detect_and_parse}
+
+
+@pytest.mark.parametrize("parser, text, line, message", DIAGNOSTICS)
+def test_every_parse_diagnostic_names_its_line(parser, text, line, message):
+    with pytest.raises(ParseError) as info:
+        PARSERS[parser](text)
+    exc = info.value
+    assert (exc.line, exc.message, str(exc)) == (line, message, f"line {line}: {message}")
+
+
+def test_tautology_warning_names_its_line():
+    with pytest.warns(FormatWarning) as record:
+        parse_wcnf("p wcnf 2 3 3\n3 2 0\nc\n3 1\n -1 0\n3 2 0\n")
+    assert [str(w.message) for w in record] == ["line 4: tautological clause dropped"]
+
+
+def test_tokens_after_the_header_fields_start_the_first_clause():
+    assert parse_wcnf("p wcnf 2 1 3 3 1\n2 0\n").hard == [(1, 2)]
 
 
 def test_detect_and_parse_picks_dialect():
@@ -144,9 +211,9 @@ def test_detect_and_parse_picks_dialect():
     assert kind == "wcnf" and isinstance(inst, MaxSatInstance)
     kind, pinst = detect_and_parse(TWO_TRIANGLES_PWCNF.encode())
     assert kind == "pwcnf" and isinstance(pinst, PartitionedInstance)
-    # the header's tokens may wrap across lines, as the parsers allow
-    wrapped = "p\nwcnf 1 1 3\n3 1 0\n"
-    assert detect_and_parse(wrapped) == ("wcnf", parse_wcnf(wrapped))
+    # the header is one line: its fields may not wrap onto the next
+    with pytest.raises(ParseError, match="^line 1: truncated header$"):
+        detect_and_parse("p\nwcnf 1 1 3\n3 1 0\n")
     with pytest.raises(ParseError, match="unknown format 'cnf'"):
         detect_and_parse("p cnf 1 1\n1 0\n")
 
@@ -230,7 +297,7 @@ def test_parser_totality_on_arbitrary_bytes(data):
     try:
         parse_pwcnf(data)
     except ParseError as exc:
-        assert exc.diagnostic.line >= 1
+        assert exc.line >= 1
 
 
 def _result(status, cost=None, model=None):

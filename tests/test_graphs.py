@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import two_triangles_instance
 from oracles import best_modularity_partition, exact_modularity
-from partmax.cnf import TAUTOLOGY, MaxSatInstance, SoftClause, resolve
+from partmax.bench import apply_strategy
+from partmax.cnf import TAUTOLOGY, MaxSatInstance, SoftClause, eliminate_pure_literals, resolve
 from partmax.encoders import (
     MscGenConfig,
     SeatingGenConfig,
@@ -20,6 +21,7 @@ from partmax.encoders import (
     gen_msc,
     gen_seating,
 )
+from partmax.formats import write_pwcnf
 from partmax.graphs import (
     ResolutionGraphTooLarge,
     WeightedGraph,
@@ -32,6 +34,7 @@ from partmax.graphs import (
     partition_by_graph,
     random_partition,
 )
+from partmax.maxsat import solve_instance
 
 
 def soft_blocks(pinst):
@@ -440,6 +443,21 @@ def test_partition_by_graph_rejects_unknown_representation_without_softs():
     for inst in (MaxSatInstance(2, hard=[(1, 2)], soft=[], top=1), two_triangles_instance()):
         with pytest.raises(ValueError, match="unknown representation"):
             partition_by_graph(inst, "bogus")
+
+
+def test_oversized_res_falls_back_to_a_single_partition():
+    inst = seating_instance(15, 4015)
+    with pytest.warns(UserWarning, match="falling back to a single partition"):
+        out = partition_by_graph(inst, "res", max_pairs=1)
+    assert out.n_part == 1
+    assert out.base.hard == inst.hard
+    assert [(s.lits, s.weight) for s in out.base.soft] == [(s.lits, s.weight) for s in inst.soft]
+    # every clause, in its order, is written with label 1
+    rows = write_pwcnf(out).splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["1"] * (len(inst.hard) + len(inst.soft))
+    assert out.elimination == eliminate_pure_literals(inst.hard, inst.n_vars, inst.soft_vars())
+    none = solve_instance(apply_strategy("wcnf", inst, "none"), "oll")
+    assert solve_instance(out, "oll").cost == none.cost
 
 
 # ------------------------------------------------------- golden labels
