@@ -13,7 +13,6 @@ from .cnf import (
     SoftClause,
     VarAllocator,
     make_clause,
-    resolve,
 )
 from .formats import ParseError, parse_pwcnf, parse_wcnf, write_pwcnf, write_solution
 from .graphs import (
@@ -41,7 +40,6 @@ __all__ = [
     "SoftClause",
     "VarAllocator",
     "make_clause",
-    "resolve",
     "ParseError",
     "parse_pwcnf",
     "parse_wcnf",

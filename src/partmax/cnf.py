@@ -50,22 +50,6 @@ def make_clause(lits) -> Clause | _Tautology:
     return tuple(out)
 
 
-def resolve(c1: Clause, c2: Clause, v: int):
-    """Resolvent of c1 and c2 on variable v, or TAUTOLOGY if trivial.
-
-    One clause must contain v positively and the other negatively.
-    """
-    if v in c1 and -v in c2:
-        cpos, cneg = c1, c2
-    elif -v in c1 and v in c2:
-        cpos, cneg = c2, c1
-    else:
-        raise ValueError(f"clauses are not resolvable on variable {v}")
-    rest = [l for l in cpos if l != v]
-    rest += [l for l in cneg if l != -v]
-    return make_clause(rest)
-
-
 def eliminate_pure_literals(clauses, n_vars: int, frozen) -> tuple:
     """Pure-literal elimination over the variables outside `frozen`.
 
@@ -156,13 +140,11 @@ class MaxSatInstance:
         if self.soft_weight_sum() > MAX_WEIGHT_SUM:
             raise OverflowError("sum of soft weights exceeds the 64-bit unsigned range")
 
-    def cost_of(self, model) -> int:
-        """Total weight of soft clauses falsified by the model."""
-        return sum(
-            s.weight
-            for s in self.soft
-            if not any(lit_is_true(model, lit) for lit in s.lits)
-        )
+    def cost_of(self, model, soft_ids=None) -> int:
+        """Total weight of soft clauses falsified by the model, among those
+        with the given indices if soft_ids is given."""
+        soft = self.soft if soft_ids is None else (self.soft[i] for i in soft_ids)
+        return sum(s.weight for s in soft if not any(lit_is_true(model, lit) for lit in s.lits))
 
     def hard_satisfied(self, model) -> bool:
         return all(any(lit_is_true(model, lit) for lit in cl) for cl in self.hard)

@@ -30,9 +30,12 @@ class ParseError(Exception):
     """Malformed input: `message` at 1-based `line`; str() reads 'line N: message'."""
 
     def __init__(self, line: int, message: str):
+        super().__init__(line, message)  # pickle rebuilds the error from these
         self.line = line
         self.message = message
-        super().__init__(f"line {line}: {message}")
+
+    def __str__(self):
+        return f"line {self.line}: {self.message}"
 
 
 class FormatWarning(UserWarning):

@@ -10,9 +10,14 @@ block of every core-guided algorithm; an engine supplies only what differs:
 ``new_state(soft_ids)`` and ``merge(a, b)`` build its carried state,
 ``assumptions(state, lb)`` gives the literals to assume at bound lb, and
 ``relax(state, core, lb)`` relaxes a core and returns the bound increase.
+oll and wbo share one pool protocol (`_PoolEngine`): the state is a pool,
+assumption literal -> entry, seeded from each soft's guard in soft-id order;
+merging joins two pools and the assumptions are the pool's literals in
+order. Each supplies only a soft's `entry` and `relax`.
 
 - msu3: one weighted counting structure whose inputs grow with each core;
-- oll: one counting structure per core, weight-aware assumptions;
+- oll: one counting structure per core, weight-aware assumptions; one
+  run-wide map from the (fresh) totalizer outputs to their counters;
 - wbo: per-core clause copies, weight splitting and an at-most-one
   constraint over the fresh relaxation variables.
 
@@ -43,7 +48,6 @@ from .cnf import (
     PartitionedInstance,
     VarAllocator,
     eliminate_pure_literals,
-    lit_is_true,
 )
 from .sat import Solver, SolverTimeout
 
@@ -91,11 +95,12 @@ class _Run:
     variable enters no solver clause, so the solver never decides it; `pure`
     holds the literal that it takes in a returned model. `elimination` is
     that pass's result when the caller already has it (see
-    PartitionedInstance.elimination)."""
+    PartitionedInstance.elimination). `t0` is the run's start."""
 
     def __init__(self, inst: MaxSatInstance, budget: float | None = None, elimination=None):
         self.inst = inst
-        deadline = None if budget is None else time.monotonic() + budget
+        self.t0 = time.monotonic()
+        deadline = None if budget is None else self.t0 + budget
         self.solver = Solver(deadline=deadline)
         n_guarded = inst.n_vars + len(inst.soft)
         self.alloc = VarAllocator(n_guarded)
@@ -118,28 +123,23 @@ class _Run:
         self.solver.add_clause(cl)
 
     def sat(self, assumps):
+        """The solver's outcome; a model is cut to the instance's variables."""
         out = self.solver.solve(assumps)
         self.stats.sat_calls += 1
         if out.sat:
-            model = out.model[: self.inst.n_vars + 1]
-            cost = self.inst.cost_of(model)
+            out.model = out.model[: self.inst.n_vars + 1]
+            cost = self.inst.cost_of(out.model)
             if self.best_cost is None or cost < self.best_cost:
-                self.best_cost, self.best_model = cost, model
+                self.best_cost, self.best_model = cost, out.model
         return out
-
-    def block_cost(self, model, soft_ids) -> int:
-        return sum(
-            self.inst.soft[i].weight
-            for i in soft_ids
-            if not any(lit_is_true(model, lit) for lit in self.inst.soft[i].lits)
-        )
 
 
 @dataclass
 class _Block:
-    """A block of soft clauses: their ids, the engine's carried state and
-    the block's proven lower bound."""
+    """A block of soft clauses: the labels of the blocks merged into it,
+    their soft ids, the engine's carried state and the proven lower bound."""
 
+    names: tuple
     soft_ids: list
     state: object
     lb: int = 0
@@ -147,22 +147,23 @@ class _Block:
 
 def _solve_block(run: _Run, engine, blk: _Block):
     """The core-guided loop: relax cores and raise the bound until the
-    engine's assumptions are satisfiable. Returns the block's (cost, model).
+    engine's assumptions are satisfiable. Records the block's cost, which is
+    its final bound, and returns a model of that cost on the block.
 
     A SAT call is skipped once the run's best model already costs blk.lb on
     the block. That model is block-optimal: every SAT model satisfies the
     hard clauses, and blk.lb is a lower bound on the block's cost over all
     such models. On the last merged block, it is therefore optimal."""
-    while True:
-        if run.block_cost(run.best_model, blk.soft_ids) == blk.lb:
-            return blk.lb, run.best_model
+    cost_of = run.inst.cost_of
+    model = run.best_model  # unchanged by an UNSAT call
+    while cost_of(model, blk.soft_ids) != blk.lb:
         out = run.sat(engine.assumptions(blk.state, blk.lb))
         if out.sat:
-            model = out.model[: run.inst.n_vars + 1]
-            got = run.block_cost(model, blk.soft_ids)
+            got = cost_of(out.model, blk.soft_ids)
             if got != blk.lb:
                 raise RuntimeError(f"internal error: block cost {got} != proven bound {blk.lb}")
-            return blk.lb, model
+            model = out.model
+            break
         if not out.core:
             raise RuntimeError("unexpected empty core after a satisfiable hard check")
         run.stats.cores += 1
@@ -170,6 +171,8 @@ def _solve_block(run: _Run, engine, blk: _Block):
         blk.lb += delta
         run.lb += delta
         run.stats.bound_trace.append(run.lb)
+    run.stats.partition_costs.append((blk.names, blk.lb))
+    return model
 
 
 # --------------------------------------------------------------------- msu3
@@ -212,35 +215,41 @@ class _Msu3Engine:
         return delta
 
 
-# ---------------------------------------------------------------------- oll
+# -------------------------------------------------------------- oll and wbo
 
 
-class _OllEngine:
-    """State: (pool, cards), assumption literal -> residual weight, and
-    totalizer output literal -> (Totalizer, j); a pool literal outside cards
-    is a soft guard. A core costs its least weight; ladder assumptions pay
-    for each additional violation within a core."""
+class _PoolEngine:
+    """State: a pool, assumption literal -> entry(soft); a pool literal a
+    relax did not add is the negated guard of a soft."""
 
     def __init__(self, run: _Run):
         self.run = run
 
     def new_state(self, soft_ids):
-        pool = {}
-        for i in sorted(soft_ids):
-            pool[-self.run.guards[i]] = self.run.inst.soft[i].weight
-        return pool, {}
+        run = self.run
+        return {-run.guards[i]: self.entry(run.inst.soft[i]) for i in sorted(soft_ids)}
 
     def merge(self, a, b):
-        (pool_a, cards_a), (pool_b, cards_b) = a, b
-        return {**pool_a, **pool_b}, {**cards_a, **cards_b}
+        return {**a, **b}
 
-    def assumptions(self, state, lb):
-        pool, _ = state
+    def assumptions(self, pool, lb):
         return sorted(pool)
 
-    def relax(self, state, core, lb) -> int:
-        pool, cards = state
-        run = self.run
+
+class _OllEngine(_PoolEngine):
+    """Pool entry: residual weight. `cards` maps a totalizer output literal
+    to (Totalizer, j). A core costs its least weight; ladder assumptions pay
+    for each additional violation within a core."""
+
+    def __init__(self, run: _Run):
+        super().__init__(run)
+        self.cards = {}
+
+    def entry(self, soft):
+        return soft.weight
+
+    def relax(self, pool, core, lb) -> int:
+        run, cards = self.run, self.cards
         core = sorted(core)
         w_star = min(pool[l] for l in core)
         if len(core) == 1 and core[0] not in cards:
@@ -268,27 +277,12 @@ class _OllEngine:
         return w_star
 
 
-# ---------------------------------------------------------------------- wbo
+class _WboEngine(_PoolEngine):
+    """Pool entry: (clause lits, residual weight). A core costs its least
+    weight w*, split off into relaxable clause copies."""
 
-
-class _WboEngine:
-    """State: assumption literal -> (clause lits, residual weight). A core
-    costs its least weight w*, split off into relaxable clause copies."""
-
-    def __init__(self, run: _Run):
-        self.run = run
-
-    def new_state(self, soft_ids):
-        pool = {}
-        for i in sorted(soft_ids):
-            pool[-self.run.guards[i]] = (tuple(self.run.inst.soft[i].lits), self.run.inst.soft[i].weight)
-        return pool
-
-    def merge(self, a, b):
-        return {**a, **b}
-
-    def assumptions(self, pool, lb):
-        return sorted(pool)
+    def entry(self, soft):
+        return tuple(soft.lits), soft.weight
 
     def relax(self, pool, core, lb) -> int:
         run = self.run
@@ -325,36 +319,36 @@ _ENGINES = {
 # ------------------------------------------------------------------ drivers
 
 
-def _result(run: _Run, status: Status, cost, model, lb: int, t0: float) -> SolveResult:
+def _result(run: _Run, status: Status, cost, model) -> SolveResult:
+    """The lower bound is the cost for an optimum, else the run's bound."""
     if model is not None:
         for lit in run.pure:
             model[abs(lit)] = lit > 0
-    run.stats.time_s = time.monotonic() - t0
+    run.stats.time_s = time.monotonic() - run.t0
+    lb = cost if status == Status.OPTIMUM else run.lb
     return SolveResult(status=status, cost=cost, model=model, lower_bound=lb, stats=run.stats)
 
 
-def _lsu_search(run: _Run, t0: float) -> SolveResult:
+def _lsu_search(run: _Run) -> SolveResult:
     """Linear search once the hard clauses are satisfiable: relax all softs,
     tighten the weighted upper bound until UNSAT; the last model is optimal."""
     run.stats.bound_trace.append(run.best_cost)
-    if run.best_cost == 0:
-        return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
-    tot = GenTotalizer(run.alloc, run.emit, cap=run.best_cost)
-    tot.add_inputs([(run.guards[i], s.weight) for i, s in enumerate(run.inst.soft)])
-    while True:
+    if run.best_cost:
+        tot = GenTotalizer(run.alloc, run.emit, cap=run.best_cost)
+        tot.add_inputs([(run.guards[i], s.weight) for i, s in enumerate(run.inst.soft)])
+    while run.best_cost:
         # a unit repeated from an earlier round is already true at the root
         for lit in tot.bound_assumptions(run.best_cost - 1):
             run.emit((lit,))
         if not run.sat(()).sat:
-            return _result(run, Status.OPTIMUM, run.best_cost, run.best_model, run.best_cost, t0)
+            break
         run.stats.bound_trace.append(run.best_cost)
-        if run.best_cost == 0:
-            return _result(run, Status.OPTIMUM, 0, run.best_model, 0, t0)
+    return _result(run, Status.OPTIMUM, run.best_cost, run.best_model)
 
 
 def select_partitions(sizes) -> tuple:
     """Pick the two blocks with the fewest soft clauses from (label, size)
-    pairs; ties break toward the lowest label. Returns their labels."""
+    pairs; ties break toward the lowest label. Returns their labels, lower first."""
     if len(sizes) < 2:
         raise ValueError("need at least two partitions to select from")
     ordered = sorted(sizes, key=lambda ls: (ls[1], ls[0]))
@@ -378,32 +372,25 @@ def solve_instance(
     """
     alg = AlgorithmKind(alg)
     pinst.validate()
-    t0 = time.monotonic()
     run = _Run(pinst.base, budget, pinst.elimination)
     blocks = pinst.blocks() or {1: []}
     run.stats.n_partitions = len(blocks)
-    parts: dict = {}  # label -> (_Block, labels of the blocks merged into it)
     try:
         if not run.sat(()).sat:
-            return _result(run, Status.HARD_UNSAT, None, None, 0, t0)
+            return _result(run, Status.HARD_UNSAT, None, None)
         if alg == AlgorithmKind.LSU:
-            return _lsu_search(run, t0)
+            return _lsu_search(run)
         engine = _ENGINES[alg](run)
+        parts = {}  # label -> _Block; a merged block takes the lower label
         for label, ids in blocks.items():
-            blk = _Block(list(ids), engine.new_state(ids))
-            parts[label] = (blk, (label,))
-            cost, model = _solve_block(run, engine, blk)
-            run.stats.partition_costs.append(((label,), cost))
+            parts[label] = blk = _Block((label,), list(ids), engine.new_state(ids))
+            model = _solve_block(run, engine, blk)
         while len(parts) > 1:
-            sizes = [(label, len(blk.soft_ids)) for label, (blk, _) in parts.items()]
-            la, lb_ = select_partitions(sizes)
-            (a, names_a) = parts.pop(la)
-            (b, names_b) = parts.pop(lb_)
-            merged = _Block(a.soft_ids + b.soft_ids, engine.merge(a.state, b.state), a.lb + b.lb)
-            names = tuple(sorted(names_a + names_b))
-            parts[min(la, lb_)] = (merged, names)
-            cost, model = _solve_block(run, engine, merged)
-            run.stats.partition_costs.append((names, cost))
-        return _result(run, Status.OPTIMUM, cost, model, cost, t0)
+            lo, hi = select_partitions([(label, len(b.soft_ids)) for label, b in parts.items()])
+            a, b = parts.pop(lo), parts.pop(hi)
+            parts[lo] = blk = _Block(tuple(sorted(a.names + b.names)), a.soft_ids + b.soft_ids,
+                                     engine.merge(a.state, b.state), a.lb + b.lb)
+            model = _solve_block(run, engine, blk)
+        return _result(run, Status.OPTIMUM, blk.lb, model)
     except SolverTimeout:
-        return _result(run, Status.TIMEOUT, run.best_cost, run.best_model, run.lb, t0)
+        return _result(run, Status.TIMEOUT, run.best_cost, run.best_model)

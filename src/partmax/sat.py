@@ -91,7 +91,8 @@ class Solver:
         # clause, and _cancel_until for a freed v without one (such as a v that
         # only an assumption assigned), so every unassigned v of a clause has
         # one and none has two; a v in no clause and no assumption is never
-        # decided.
+        # decided. _cancel_until drops the stale entries once there are more
+        # than 2 * n_vars in all.
         self._heap: list = []
         self._live = [False]
         self._reduces = 0
@@ -197,6 +198,8 @@ class Solver:
         del trail[bound:]
         del self.trail_lim[lvl:]
         self.qhead = len(trail)
+        if len(heap) > 2 * self.n_vars:
+            self._rebuild_heap()  # drop stale entries; the pop order is unchanged
 
     # ------------------------------------------------------- propagation
 

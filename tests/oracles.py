@@ -2,8 +2,8 @@
 
 Nothing here imports the solver or encoder code paths it checks: DPLL for
 satisfiability, exhaustive enumeration for MaxSAT optima and problem-level
-optima, a from-the-definition modularity with exact fractions, and
-instance equality up to clause order.
+optima, a from-the-definition modularity with exact fractions, the
+resolvent of two clauses, and instance equality up to clause order.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from partmax.cnf import make_clause
 
 
 # ---------------------------------------------------------------- DPLL SAT
@@ -207,6 +209,25 @@ def best_modularity_partition(edges, nodes):
         if best_q is None or q > best_q:
             best_q, best_part = q, part
     return best_q, best_part
+
+
+# ----------------------------------------------------------- resolution
+
+
+def resolve(c1, c2, v: int):
+    """Resolvent of c1 and c2 on variable v, or TAUTOLOGY if trivial.
+
+    One clause must contain v positively and the other negatively.
+    """
+    if v in c1 and -v in c2:
+        cpos, cneg = c1, c2
+    elif -v in c1 and v in c2:
+        cpos, cneg = c2, c1
+    else:
+        raise ValueError(f"clauses are not resolvable on variable {v}")
+    rest = [l for l in cpos if l != v]
+    rest += [l for l in cneg if l != -v]
+    return make_clause(rest)
 
 
 # ------------------------------------------------------ instance equality

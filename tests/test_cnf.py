@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import resolve
 from partmax.cnf import (
     TAUTOLOGY,
     MaxSatInstance,
@@ -7,7 +8,6 @@ from partmax.cnf import (
     SoftClause,
     VarAllocator,
     make_clause,
-    resolve,
 )
 
 

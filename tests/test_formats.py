@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,12 @@ def test_every_parse_diagnostic_names_its_line(parser, text, line, message):
         PARSERS[parser](text)
     exc = info.value
     assert (exc.line, exc.message, str(exc)) == (line, message, f"line {line}: {message}")
+
+
+def test_parse_error_survives_pickling():
+    # a worker process that lets a ParseError escape hands it to its parent pickled
+    exc = pickle.loads(pickle.dumps(ParseError(3, "x")))
+    assert (type(exc), exc.line, exc.message, str(exc)) == (ParseError, 3, "x", "line 3: x")
 
 
 def test_tautology_warning_names_its_line():

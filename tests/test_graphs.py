@@ -10,9 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import two_triangles_instance
-from oracles import best_modularity_partition, exact_modularity
+from oracles import best_modularity_partition, exact_modularity, resolve
+from partmax import graphs
 from partmax.bench import apply_strategy
-from partmax.cnf import TAUTOLOGY, MaxSatInstance, SoftClause, eliminate_pure_literals, resolve
+from partmax.cnf import TAUTOLOGY, MaxSatInstance, SoftClause, eliminate_pure_literals
 from partmax.encoders import (
     MscGenConfig,
     SeatingGenConfig,
@@ -146,15 +147,14 @@ def test_res_contradicting_units_keep_a_clamped_edge():
     assert g.edges() == [(0, 1, Fraction(1))]
 
 
-def test_res_pair_cap_raises():
+def test_res_pair_cap_raises(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_RES_PAIRS", 2)
     inst = two_triangles_instance()
     with pytest.raises(ResolutionGraphTooLarge):
-        build_res(inst, max_pairs=2)
+        build_res(inst)
 
 
 def test_res_recomputed_resolvents_are_never_trivial():
-    from partmax.cnf import TAUTOLOGY, resolve
-
     inst = two_triangles_instance()
     clauses = list(inst.hard) + [s.lits for s in inst.soft]
     for u, v, w in build_res(inst).edges():
@@ -171,7 +171,7 @@ def test_res_recomputed_resolvents_are_never_trivial():
 
 def reference_res(clauses):
     """scale and {(i, j): integer weight} of the resolution graph, from
-    cnf.resolve on every clause pair. A pair is decided by its lowest clashing
+    oracles.resolve on every clause pair. A pair is decided by its lowest clashing
     variable; for tautology-free clauses every clashing variable agrees, since
     a pair that clashes on two variables only has trivial resolvents."""
     longest = max((len(cl) for cl in clauses), default=0)
@@ -445,10 +445,11 @@ def test_partition_by_graph_rejects_unknown_representation_without_softs():
             partition_by_graph(inst, "bogus")
 
 
-def test_oversized_res_falls_back_to_a_single_partition():
+def test_oversized_res_falls_back_to_a_single_partition(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_RES_PAIRS", 1)
     inst = seating_instance(15, 4015)
     with pytest.warns(UserWarning, match="falling back to a single partition"):
-        out = partition_by_graph(inst, "res", max_pairs=1)
+        out = partition_by_graph(inst, "res")
     assert out.n_part == 1
     assert out.base.hard == inst.hard
     assert [(s.lits, s.weight) for s in out.base.soft] == [(s.lits, s.weight) for s in inst.soft]

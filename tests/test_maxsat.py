@@ -4,11 +4,13 @@ import pytest
 
 from conftest import TWO_TRIANGLES_PWCNF, assert_valid_result, two_triangles_instance
 from oracles import brute_force_maxsat
+from partmax import maxsat
 from partmax.cnf import MaxSatInstance, PartitionedInstance, SoftClause
 from partmax.encoders import SchemeChoice, SeatingGenConfig, encode_seating, gen_seating
 from partmax.formats import parse_pwcnf
 from partmax.graphs import partition_by_graph, random_partition
 from partmax.maxsat import AlgorithmKind, Status, select_partitions, solve_instance
+from test_perfbench_tracer import seating_instance
 
 ALGS = tuple(a.value for a in AlgorithmKind)
 CORE_ALGS = ("msu3", "oll", "wbo")
@@ -268,3 +270,37 @@ def test_empty_soft_clause_always_pays():
     for alg in ALGS:
         res = solve_whole(inst, alg)
         assert res.cost == 2, alg
+
+
+# Recorded before the pool engines shared one protocol: status, cost, lower
+# bound, SAT calls, cores, bound trace, partition costs, and the solver's
+# conflicts, decisions and propagations. A refactor that reorders the clauses
+# or assumptions of any algorithm changes some of them.
+MERGES = [((1,), 2), ((2,), 2), ((3,), 2), ((1, 2), 4), ((1, 2, 3), 7)]
+PINNED_SEARCH = {
+    "lsu": ("optimum", 7, 7, 4, 0, [9, 8, 7], [], (68, 305, 4188)),
+    "msu3": ("optimum", 7, 7, 12, 7, [1, 2, 3, 4, 5, 6, 7], MERGES, (56, 554, 4097)),
+    "oll": ("optimum", 7, 7, 11, 7, [1, 2, 3, 4, 5, 6, 7], MERGES, (32, 391, 2490)),
+    "wbo": ("optimum", 7, 7, 12, 7, [1, 2, 3, 4, 5, 6, 7], MERGES, (37, 559, 3126)),
+}
+
+
+@pytest.mark.parametrize("alg", ALGS)
+def test_search_on_a_partitioned_seating_instance_is_pinned(alg, monkeypatch):
+    runs = []
+    sat = maxsat._Run.sat
+
+    def recorded_sat(run, assumps):
+        runs.append(run)
+        return sat(run, assumps)
+
+    monkeypatch.setattr(maxsat._Run, "sat", recorded_sat)
+    pinst = seating_instance()
+    assert len(pinst.blocks()) == 3
+    res = solve_instance(pinst, alg)
+    st, counters = res.stats, runs[-1].solver.stats
+    assert (
+        res.status.value, res.cost, res.lower_bound, st.sat_calls, st.cores,
+        st.bound_trace, st.partition_costs,
+        (counters["conflicts"], counters["decisions"], counters["propagations"]),
+    ) == PINNED_SEARCH[alg]

@@ -244,6 +244,31 @@ def test_failed_assumption_calls_do_not_grow_the_heap():
         assert_heap_covers_unassigned(s)
 
 
+def test_stale_heap_entries_are_dropped_without_changing_the_search(monkeypatch):
+    # bumped variables leave stale entries behind; at 4,968 conflicts they
+    # once held 73,300 entries over 190 variables
+    rng = random.Random(1)
+    clauses = [tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, 191), 3))
+               for _ in range(810)]
+    peak = 0
+
+    def counted_push(heap, entry):
+        nonlocal peak
+        push(heap, entry)
+        peak = max(peak, len(heap))
+
+    push = sat.heappush
+    monkeypatch.setattr(sat, "heappush", counted_push)
+    s = make_solver(190, clauses)
+    assert s.solve().sat
+    assert peak <= 3 * s.n_vars
+    assert_heap_covers_unassigned(s)
+    # the pop order, and so every decision, is that of the unpruned heap
+    assert {k: s.stats[k] for k in ("conflicts", "decisions", "propagations")} == {
+        "conflicts": 4968, "decisions": 6096, "propagations": 189094,
+    }
+
+
 def test_binary_chain_core_is_exactly_its_two_ends():
     # 1 -> 2 -> ... -> 50 through binary clauses only: the refutation of
     # [1, -50] runs along binary reasons, and the core names both ends
