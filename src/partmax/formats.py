@@ -9,11 +9,18 @@ pwcnf grammar:
 Clauses with weight == topw are hard; all others are soft and must have
 weight below topw. Partition labels run 1..n_part. Comment lines starting
 with 'c' are allowed anywhere. The header is one line; clause tokens may
-wrap across lines until the terminating 0.
+wrap across lines until the terminating 0. Every number is spelled in ASCII
+as [+-]?[0-9]+.
+
+Well-formed input, as writers such as write_pwcnf produce it, is read by a
+bulk reader at the speed of bytes.split and int; anything it does not
+accept in full goes to the token-cursor parser, which owns every
+diagnostic and warning.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 
 from .cnf import (
@@ -42,8 +49,103 @@ class FormatWarning(UserWarning):
     pass
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+# a header line the bulk reader takes: the letters of its tag, digits, blanks
+_HEADER_BYTES = b"pwcnf0123456789 \t"
+_HEADER_FIELDS = {"wcnf": 5, "pwcnf": 6}
+# the body the bulk reader takes: no comment, sign other than '-', or line
+# break other than CR and LF, so its tokens and their lines are the cursor's
+_BODY_BYTES = b"0123456789- \t\r\n"
+
+
 def _parse(text, fmt: str | None):
     """Parse wcnf or pwcnf; with fmt None, the header's format tag decides."""
+    parsed = _parse_bulk(text, fmt)
+    return _parse_tokens(text, fmt) if parsed is None else parsed
+
+
+def _parse_bulk(text, fmt: str | None):
+    """The instance _parse_tokens would return without a warning, or None
+    when the input is not in the canonical form this reader takes.
+
+    It takes a header alone on the first line, with exactly its fields, then
+    clauses of ASCII integers with no comment, '+' sign, repeated variable
+    or tautology; every range, count and weight-sum check of _parse_tokens
+    holds. Input that fails any check goes to _parse_tokens whole, so the
+    diagnostics and warnings are always _parse_tokens'.
+    """
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+    nl = text.find(b"\n")
+    if nl < 0:
+        return None
+    head = text[:nl].removesuffix(b"\r")
+    fields = head.split()
+    if head.translate(None, _HEADER_BYTES) or len(fields) < 2 or fields[0] != b"p":
+        return None
+    tag = fields[1].decode()
+    fmt = fmt or tag
+    if tag != fmt or len(fields) != _HEADER_FIELDS.get(fmt) or not all(
+        f.isdigit() for f in fields[2:]
+    ):
+        return None
+    body = text[nl + 1 :]
+    if body.translate(None, _BODY_BYTES):
+        return None
+    try:  # ValueError: a '-' that is not a sign, or more digits than int() converts
+        n_vars, n_clauses, top, n_part = map(int, (fields + [b"0"])[2:6])  # wcnf: n_part 0
+        ints = tuple(map(int, body.split()))
+    except ValueError:
+        return None
+    pwcnf = fmt == "pwcnf"
+    if top < 1 or (pwcnf and n_part < 1):
+        return None
+    # literals are the only tokens that may be negative; labels and weights
+    # are checked per clause, so literals need a check of their own only when
+    # a label or weight exceeds n_vars too
+    if ints and min(ints) < -n_vars:
+        return None
+    check_lits = bool(ints) and max(ints) > n_vars
+    hard, hard_labels, soft = [], [], []
+    n, pos, part, weight_sum = len(ints), 0, 0, 0
+    skip = 2 if pwcnf else 1  # label and weight precede the literals
+    index = ints.index
+    try:
+        while pos < n:
+            end = index(0, pos + skip)
+            if pwcnf:
+                part = ints[pos]
+                if not 1 <= part <= n_part:
+                    return None
+            weight = ints[pos + skip - 1]
+            cl = ints[pos + skip : end]
+            pos = end + 1
+            if not 1 <= weight <= top:
+                return None
+            if len(cl) > 1 and len(set(map(abs, cl))) < len(cl):
+                return None  # a repeated literal or a tautology
+            if check_lits and cl and max(cl) > n_vars:
+                return None
+            if weight == top:
+                hard.append(cl)
+                hard_labels.append(part)
+            else:
+                soft.append(SoftClause(cl, weight, part))
+                weight_sum += weight
+    except ValueError:  # a clause without its terminating 0
+        return None
+    if len(hard) + len(soft) != n_clauses or weight_sum > MAX_WEIGHT_SUM:
+        return None
+    inst = MaxSatInstance(n_vars=n_vars, hard=hard, soft=soft, top=top)
+    if pwcnf:
+        return PartitionedInstance(base=inst, n_part=n_part, hard_labels=hard_labels)
+    return inst
+
+
+def _parse_tokens(text, fmt: str | None):
+    """The token-cursor parser: any input, every diagnostic and warning."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8", errors="replace")
     toks, lines = [], []  # every non-comment token, and the line it sits on
@@ -64,9 +166,11 @@ def _parse(text, fmt: str | None):
         tok = toks[pos]
         pos += 1
         try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(lines[pos - 1], f"expected {what}, got {tok!r}") from None
+            if _INT.fullmatch(tok):  # int() alone would also read 1_0 and non-ASCII digits
+                return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise ParseError(lines[pos - 1], f"expected {what}, got {tok!r}")
 
     if not toks:
         raise ParseError(1, "missing header")
@@ -127,7 +231,7 @@ def _parse(text, fmt: str | None):
         cl = make_clause(lits)
         if cl is TAUTOLOGY:
             warnings.warn(
-                f"line {start_line}: tautological clause dropped", FormatWarning, stacklevel=3
+                f"line {start_line}: tautological clause dropped", FormatWarning, stacklevel=4
             )
             continue
         if weight == top:

@@ -109,16 +109,17 @@ class Solver:
     def reserve(self, n_vars: int) -> None:
         """Allocate variables 1..n_vars; each enters branching at its first
         clause or assumption."""
-        while self.n_vars < n_vars:
-            self.n_vars += 1
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.phase.append(False)
-            self.vals.extend((0, 0))
-            self.watches.append([])
-            self.watches.append([])
-            self._live.append(False)
+        k = n_vars - self.n_vars
+        if k <= 0:
+            return
+        self.n_vars = n_vars
+        self.level += [0] * k
+        self.reason += [None] * k
+        self.activity += [0.0] * k
+        self.phase += [False] * k
+        self.vals += [0] * (2 * k)
+        self.watches += [[] for _ in range(2 * k)]  # one list object per literal
+        self._live += [False] * k
 
     def add_clause(self, lits) -> bool:
         """Add a clause over already-reserved variables.
@@ -460,10 +461,7 @@ class Solver:
             else:
                 v = self._pick_branch()
                 if v is None:
-                    model = [False] * (self.n_vars + 1)
-                    vals = self.vals
-                    for var in range(1, self.n_vars + 1):
-                        model[var] = vals[var << 1] == 1
+                    model = [False] + [x == 1 for x in self.vals[2::2]]  # vals[2v] is v's
                     return SolveOutcome(sat=True, model=model)
                 code = (v << 1) if self.phase[v] else ((v << 1) | 1)
                 self._decide(code)

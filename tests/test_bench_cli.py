@@ -221,6 +221,19 @@ def test_cli_solve_user_strategy(tmp_path, capsys):
     assert "c partitions: 3" in out
 
 
+def test_cli_solve_reports_parse_and_partition_seconds(tmp_path, capsys):
+    f = tmp_path / "t.wcnf"
+    f.write_text(TWO_TRIANGLES_WCNF)
+    code, out, _ = run_cli(capsys, "solve", str(f), "--strategy", "vig")
+    assert code == 0
+    lines = out.splitlines()
+    s_line = next(i for i, line in enumerate(lines) if line.startswith("s "))
+    for name in ("parse_s", "partition_s"):
+        (i,) = [i for i, line in enumerate(lines) if line.startswith(f"c {name}: ")]
+        assert i < s_line
+        assert float(lines[i].split(": ")[1]) >= 0
+
+
 def test_cli_solve_res_strategy_reports_three_partitions(tmp_path, capsys):
     f = tmp_path / "t.wcnf"
     f.write_text(TWO_TRIANGLES_WCNF)

@@ -198,6 +198,38 @@ def test_every_parse_diagnostic_names_its_line(parser, text, line, message):
     assert (exc.line, exc.message, str(exc)) == (line, message, f"line {line}: {message}")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p wcnf 20 1 5\n5 1_0 0\n", 2, "expected literal, got '1_0'"),
+        ("p wcnf 2 1 1_0\n5 1 0\n", 1, "expected top weight, got '1_0'"),
+        ("p wcnf 2 1 5\n5 \u0661 0\n", 2, "expected literal, got '\u0661'"),
+        ("p wcnf \uff12 1 5\n5 1 0\n", 1, "expected variable count, got '\uff12'"),
+    ],
+)
+def test_numbers_are_spelled_in_ascii(text, line, message):
+    # int() alone would read 1_0 as 10 and any Unicode decimal digit as a digit
+    for data in (text, text.encode()):
+        with pytest.raises(ParseError) as info:
+            parse_wcnf(data)
+        assert (info.value.line, info.value.message) == (line, message)
+
+
+def test_numbers_too_long_for_int_are_parse_errors():
+    big = "9" * 5000  # beyond int()'s default limit of 4300 digits
+    for text, line, what in [
+        (f"p wcnf 1 1 {big}\n3 1 0\n", 1, "top weight"),
+        (f"p wcnf 1 1 3\n3 {big} 0\n", 2, "literal"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_wcnf(text)
+        assert (info.value.line, info.value.message) == (line, f"expected {what}, got {big!r}")
+
+
+def test_signed_numbers_parse():
+    assert parse_wcnf("p wcnf +2 1 +5\n+5 +1 -2 0\n").hard == [(1, -2)]
+
+
 def test_parse_error_survives_pickling():
     # a worker process that lets a ParseError escape hands it to its parent pickled
     exc = pickle.loads(pickle.dumps(ParseError(3, "x")))
