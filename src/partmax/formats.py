@@ -12,16 +12,20 @@ with 'c' are allowed anywhere. The header is one line; clause tokens may
 wrap across lines until the terminating 0. Every number is spelled in ASCII
 as [+-]?[0-9]+.
 
-Well-formed input, as writers such as write_pwcnf produce it, is read by a
-bulk reader at the speed of bytes.split and int; anything it does not
-accept in full goes to the token-cursor parser, which owns every
-diagnostic and warning.
+One parser reads both dialects. It splits the whole text at once, converts
+the clause tokens with one map(int, ...), finds each clause's 0 with
+tuple.index and checks each clause once. The line of each token takes a
+second pass, _tokens. It runs first only when the text up to the first
+newline does not start with 'p' or holds another line break, or when a 'c'
+follows it (a comment line, say); otherwise it runs the first time a
+diagnostic or a tautology warning names a line.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from itertools import islice
 
 from .cnf import (
     MAX_WEIGHT_SUM,
@@ -50,135 +54,56 @@ class FormatWarning(UserWarning):
 
 
 _INT = re.compile(r"[+-]?[0-9]+")
-# a header line the bulk reader takes: the letters of its tag, digits, blanks
-_HEADER_BYTES = b"pwcnf0123456789 \t"
-_HEADER_FIELDS = {"wcnf": 5, "pwcnf": 6}
-# the body the bulk reader takes: no comment, sign other than '-', or line
-# break other than CR and LF, so its tokens and their lines are the cursor's
-_BODY_BYTES = b"0123456789- \t\r\n"
+_FIELDS = ("variable count", "clause count", "top weight", "partition count")
 
 
-def _parse(text, fmt: str | None):
-    """Parse wcnf or pwcnf; with fmt None, the header's format tag decides."""
-    parsed = _parse_bulk(text, fmt)
-    return _parse_tokens(text, fmt) if parsed is None else parsed
+def _int(tok: str) -> int | None:
+    """tok as an int when spelled [+-]?[0-9]+ in ASCII, else None.
 
-
-def _parse_bulk(text, fmt: str | None):
-    """The instance _parse_tokens would return without a warning, or None
-    when the input is not in the canonical form this reader takes.
-
-    It takes a header alone on the first line, with exactly its fields, then
-    clauses of ASCII integers with no comment, '+' sign, repeated variable
-    or tautology; every range, count and weight-sum check of _parse_tokens
-    holds. Input that fails any check goes to _parse_tokens whole, so the
-    diagnostics and warnings are always _parse_tokens'.
+    int() alone would also read 1_0 and non-ASCII digits, and raises
+    ValueError on more digits than it converts.
     """
-    if isinstance(text, str):
-        if not text.isascii():
-            return None
-        text = text.encode("ascii")
-    nl = text.find(b"\n")
-    if nl < 0:
-        return None
-    head = text[:nl].removesuffix(b"\r")
-    fields = head.split()
-    if head.translate(None, _HEADER_BYTES) or len(fields) < 2 or fields[0] != b"p":
-        return None
-    tag = fields[1].decode()
-    fmt = fmt or tag
-    if tag != fmt or len(fields) != _HEADER_FIELDS.get(fmt) or not all(
-        f.isdigit() for f in fields[2:]
-    ):
-        return None
-    body = text[nl + 1 :]
-    if body.translate(None, _BODY_BYTES):
-        return None
-    try:  # ValueError: a '-' that is not a sign, or more digits than int() converts
-        n_vars, n_clauses, top, n_part = map(int, (fields + [b"0"])[2:6])  # wcnf: n_part 0
-        ints = tuple(map(int, body.split()))
-    except ValueError:
-        return None
-    pwcnf = fmt == "pwcnf"
-    if top < 1 or (pwcnf and n_part < 1):
-        return None
-    # literals are the only tokens that may be negative; labels and weights
-    # are checked per clause, so literals need a check of their own only when
-    # a label or weight exceeds n_vars too
-    if ints and min(ints) < -n_vars:
-        return None
-    check_lits = bool(ints) and max(ints) > n_vars
-    hard, hard_labels, soft = [], [], []
-    n, pos, part, weight_sum = len(ints), 0, 0, 0
-    skip = 2 if pwcnf else 1  # label and weight precede the literals
-    index = ints.index
-    try:
-        while pos < n:
-            end = index(0, pos + skip)
-            if pwcnf:
-                part = ints[pos]
-                if not 1 <= part <= n_part:
-                    return None
-            weight = ints[pos + skip - 1]
-            cl = ints[pos + skip : end]
-            pos = end + 1
-            if not 1 <= weight <= top:
-                return None
-            if len(cl) > 1 and len(set(map(abs, cl))) < len(cl):
-                return None  # a repeated literal or a tautology
-            if check_lits and cl and max(cl) > n_vars:
-                return None
-            if weight == top:
-                hard.append(cl)
-                hard_labels.append(part)
-            else:
-                soft.append(SoftClause(cl, weight, part))
-                weight_sum += weight
-    except ValueError:  # a clause without its terminating 0
-        return None
-    if len(hard) + len(soft) != n_clauses or weight_sum > MAX_WEIGHT_SUM:
-        return None
-    inst = MaxSatInstance(n_vars=n_vars, hard=hard, soft=soft, top=top)
-    if pwcnf:
-        return PartitionedInstance(base=inst, n_part=n_part, hard_labels=hard_labels)
-    return inst
+    if _INT.fullmatch(tok):
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
 
 
-def _parse_tokens(text, fmt: str | None):
-    """The token-cursor parser: any input, every diagnostic and warning."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8", errors="replace")
-    toks, lines = [], []  # every non-comment token, and the line it sits on
+def _tokens(text: str):
+    """The tokens outside comment lines, and the 1-based line of each."""
+    toks, lines = [], []
     for ln, line in enumerate(text.splitlines(), start=1):
         words = line.split()
         if words and not words[0].startswith("c"):
             toks += words
             lines += [ln] * len(words)
-    n_toks = len(toks)
-    pos = 0
+    return toks, lines
 
-    def take(what: str, line: int, missing: str) -> int:
-        """The next token as an int named `what` in its diagnostic;
-        ParseError(line, missing) at end of input."""
-        nonlocal pos
-        if pos == n_toks:
-            raise ParseError(line, missing)
-        tok = toks[pos]
-        pos += 1
-        try:
-            if _INT.fullmatch(tok):  # int() alone would also read 1_0 and non-ASCII digits
-                return int(tok)
-        except ValueError:  # more digits than int() converts
-            pass
-        raise ParseError(lines[pos - 1], f"expected {what}, got {tok!r}")
 
-    if not toks:
-        raise ParseError(1, "missing header")
-    ln = lines[0]
+def _parse(text, fmt: str | None):
+    """Parse wcnf or pwcnf; with fmt None, the header's format tag decides."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode("utf-8", errors="replace")
+    nl = text.find("\n")
+    head = text if nl < 0 else text[:nl]
+    if head.startswith("p") and len(head.splitlines()) == 1 and text.find("c", len(head)) < 0:
+        # the header leads line 1 and no line is a comment, so the tokens are
+        # _tokens': str.split breaks at every line boundary splitlines knows
+        line_map = None
+        toks = text.split()
+        ln, on_header_line = 1, len(head.split(None, 5))  # counted up to 6
+    else:
+        line_map = toks, lines = _tokens(text)
+        if not toks:
+            raise ParseError(1, "missing header")
+        ln = lines[0]
+        on_header_line = lines[:6].count(ln)
+
     if toks[0] != "p":
         raise ParseError(ln, f"missing header: expected 'p', got {toks[0]!r}")
     # the header's fields sit on its line; tokens after them start a clause
-    on_header_line = lines[:6].count(ln)
     if on_header_line < 2:
         raise ParseError(ln, "truncated header")
     tag = toks[1]
@@ -186,69 +111,110 @@ def _parse_tokens(text, fmt: str | None):
         if tag not in ("wcnf", "pwcnf"):
             raise ParseError(ln, f"unknown format {tag!r}")
         fmt = tag
-    if on_header_line < (6 if fmt == "pwcnf" else 5):
+    pwcnf = fmt == "pwcnf"
+    n_fields = 6 if pwcnf else 5
+    if on_header_line < n_fields:
         raise ParseError(ln, "truncated header")
     if tag != fmt:
         raise ParseError(ln, f"expected '{fmt}' header, got {tag!r}")
-    pos = 2
-    n_vars = take("variable count", ln, "truncated header")
-    n_clauses = take("clause count", ln, "truncated header")
-    top = take("top weight", ln, "truncated header")
-    n_part = take("partition count", ln, "truncated header") if fmt == "pwcnf" else 0
+    header = []
+    for what, tok in zip(_FIELDS, toks[2:n_fields]):
+        if (value := _int(tok)) is None:
+            raise ParseError(ln, f"expected {what}, got {tok!r}")
+        header.append(value)
+    n_vars, n_clauses, top = header[:3]
+    n_part = header[3] if pwcnf else 0
     if n_vars < 0 or n_clauses < 0:
         raise ParseError(ln, "header counts must be nonnegative")
     if top < 1:
         raise ParseError(ln, f"top weight must be >= 1, got {top}")
-    if fmt == "pwcnf" and n_part < 1:
+    if pwcnf and n_part < 1:
         raise ParseError(ln, f"n_part must be >= 1, got {n_part}")
 
-    hard, hard_labels, soft = [], [], []
-    clauses_read = 0
-    soft_weight_sum = 0
-    unterminated = "clause not terminated by 0"
-    while pos < n_toks:
-        start_line = lines[pos]
-        if toks[pos] == "p":
+    # the clause tokens as ints; a token that is no number becomes -n_vars - 1,
+    # which fails every range check, and fail() then reads the token itself
+    ints = None
+    if text.isascii() and "_" not in text:  # then int() takes exactly _INT
+        try:
+            ints = tuple(map(int, islice(toks, n_fields, None)))
+        except ValueError:  # a token that is no number, or too long for int()
+            pass
+    if ints is None:
+        bad = -n_vars - 1
+        ints = tuple(bad if (v := _int(tok)) is None else v for tok in islice(toks, n_fields, None))
+    del toks  # a diagnostic reads them from line_map
+    n = len(ints)
+    if n and ints[-1]:
+        ints += (0,)  # ends the last clause, which fail() reports unterminated
+    skip = 2 if pwcnf else 1  # label and weight precede the literals
+
+    def line(i: int) -> int:
+        """The line of clause token i, or of the last token for i -1."""
+        nonlocal line_map
+        line_map = line_map or _tokens(text)
+        return line_map[1][i if i < 0 else n_fields + i]
+
+    def fail(start: int, i: int, what: str):
+        """Raise the ParseError of clause token i, the `what` of the clause
+        that starts at token start, which failed its check."""
+        start_line = line(start)  # fills line_map
+        if i == n:
+            raise ParseError(start_line, "clause not terminated by 0")
+        tok, value = line_map[0][n_fields + i], ints[i]
+        if i == start and tok == "p":
             raise ParseError(start_line, "duplicate header")
-        part = 0
-        if fmt == "pwcnf":
-            part = take("partition label", start_line, unterminated)
+        if _int(tok) is None:
+            raise ParseError(line(i), f"expected {what}, got {tok!r}")
+        if what == "literal":
+            raise ParseError(line(i), f"literal {value} outside declared variables 1..{n_vars}")
+        if what == "partition label":
+            raise ParseError(start_line, f"partition label {value} outside 1..{n_part}")
+        if value > top:
+            raise ParseError(start_line, f"soft weight {value} exceeds top {top}")
+        raise ParseError(start_line, f"clause weight must be >= 1, got {value}")
+
+    # literals are checked per clause against a bound only if a token is past it
+    check_hi, check_lo = (max(ints) > n_vars, min(ints) < -n_vars) if n else (False, False)
+    hard, hard_labels, soft = [], [], []
+    pos = part = n_read = weight_sum = 0
+    index = ints.index
+    while pos < n:
+        start = pos
+        if pwcnf:
+            part = ints[pos]
             if not 1 <= part <= n_part:
-                raise ParseError(start_line, f"partition label {part} outside 1..{n_part}")
-        weight = take("clause weight", start_line, unterminated)
-        if weight > top:
-            raise ParseError(start_line, f"soft weight {weight} exceeds top {top}")
-        if weight < 1:
-            raise ParseError(start_line, f"clause weight must be >= 1, got {weight}")
-        lits = []
-        while lit := take("literal", start_line, unterminated):
-            if abs(lit) > n_vars:
-                raise ParseError(
-                    lines[pos - 1], f"literal {lit} outside declared variables 1..{n_vars}"
+                fail(start, pos, "partition label")
+        weight = ints[pos + skip - 1]
+        if not 1 <= weight <= top:
+            fail(start, pos + skip - 1, "clause weight")
+        end = index(0, pos + skip)
+        cl = ints[pos + skip : end]
+        if cl and ((check_hi and max(cl) > n_vars) or (check_lo and min(cl) < -n_vars)):
+            fail(start, next(i for i in range(pos + skip, end) if abs(ints[i]) > n_vars), "literal")
+        if end == n:
+            fail(start, end, "literal")
+        pos = end + 1
+        n_read += 1
+        if len(cl) > 1 and len(set(map(abs, cl))) < len(cl):
+            cl = make_clause(cl)  # drops a repeated literal
+            if cl is TAUTOLOGY:
+                warnings.warn(
+                    f"line {line(start)}: tautological clause dropped", FormatWarning, stacklevel=3
                 )
-            lits.append(lit)
-        clauses_read += 1
-        cl = make_clause(lits)
-        if cl is TAUTOLOGY:
-            warnings.warn(
-                f"line {start_line}: tautological clause dropped", FormatWarning, stacklevel=4
-            )
-            continue
+                continue
         if weight == top:
             hard.append(cl)
             hard_labels.append(part)
         else:
             soft.append(SoftClause(cl, weight, part))
-            soft_weight_sum += weight
-            if soft_weight_sum > MAX_WEIGHT_SUM:
-                raise ParseError(start_line, "sum of soft weights exceeds the 64-bit range")
-    if clauses_read != n_clauses:
+            weight_sum += weight
+            if weight_sum > MAX_WEIGHT_SUM:
+                raise ParseError(line(start), "sum of soft weights exceeds the 64-bit range")
+    if n_read != n_clauses:
         # every token is read by now, so the last one's line ends the input
-        raise ParseError(
-            lines[-1], f"header declares {n_clauses} clauses but {clauses_read} were read"
-        )
+        raise ParseError(line(-1), f"header declares {n_clauses} clauses but {n_read} were read")
     inst = MaxSatInstance(n_vars=n_vars, hard=hard, soft=soft, top=top)
-    if fmt == "pwcnf":
+    if pwcnf:
         return PartitionedInstance(base=inst, n_part=n_part, hard_labels=hard_labels)
     return inst
 

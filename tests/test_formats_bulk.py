@@ -1,14 +1,20 @@
-"""The bulk reader agrees with the token-cursor parser.
+"""The parser's fast route and the lines it works out after the fact.
 
-formats._parse tries formats._parse_bulk first and hands any input that
-reader declines to formats._parse_tokens whole. These tests pin which input
-each path takes and that both paths give the same instance and warnings.
+formats._parse splits the whole text at once. Only input with a comment, or
+with a first line that is not a lone 'p' line, runs formats._tokens (every
+token with its line) before parsing; other input runs it the first time a
+diagnostic or a tautology warning names a line. These tests pin which input
+runs it, and that each input class gives the instance and warnings written
+here: the readings of the token-cursor parser this one replaced.
 """
 
 import importlib.util
+import inspect
 import os
 import sys
 import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -16,63 +22,105 @@ from hypothesis import strategies as st
 
 from partmax import encoders, formats
 from partmax.cnf import MaxSatInstance, PartitionedInstance, SoftClause
-from partmax.formats import detect_and_parse, parse_pwcnf, parse_wcnf, write_pwcnf
+from partmax.formats import FormatWarning, detect_and_parse, parse_pwcnf, parse_wcnf, write_pwcnf
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 
 
 def outcome(parse, text):
-    """What parse returns or raises, and the warnings it emits."""
+    """What parse returns or raises, and the warnings it emits; each warning
+    must name the line that calls parse."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        call_line = inspect.currentframe().f_lineno + 2
         try:
             result = parse(text)
         except formats.ParseError as exc:
             result = ("ParseError", exc.line, exc.message)
+    assert all((w.filename, w.lineno) == (__file__, call_line) for w in caught)
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-# (name, text, whether the bulk reader takes it). {H} is the header and {L}
-# a clause's partition label: "p wcnf 3 <clauses> 9" and "" in wcnf,
-# "p pwcnf 3 <clauses> 9 2" and "2 " in pwcnf.
+@contextmanager
+def counting_line_maps():
+    """Count the runs of formats._tokens inside the block."""
+    runs = []
+    tokens = formats._tokens
+
+    def counted(text):
+        runs.append(text)
+        return tokens(text)
+
+    with mock.patch.object(formats, "_tokens", counted):
+        yield runs
+
+
+@contextmanager
+def without_line_map():
+    """Fail if a parse inside the block works out token lines."""
+    with mock.patch.object(formats, "_tokens", side_effect=AssertionError("_tokens ran")):
+        yield
+
+
+# (name, text, whether the parse runs _tokens). {H} is the header and {L} a
+# clause's partition label: "p wcnf 3 <clauses> 9" and "" in wcnf,
+# "p pwcnf 3 <clauses> 9 2" and "2 " in pwcnf. Every class but the last two
+# reads as the canonical one.
 CLASSES = [
-    ("canonical", "{H}\n{L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0\n", True),
-    ("leading comment", "c lead\n{H}\n{L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0\n", False),
-    ("comment between clauses", "{H}\n{L}9 1 2 0\nc mid\n{L}1 -3 0\n{L}2 3 0\n", False),
-    ("CRLF line ends", "{H}\r\n{L}9 1 2 0\r\n{L}1 -3 0\r\n{L}2 3 0\r\n", True),
-    ("clause wrapped over two lines", "{H}\n{L}9 1\n2 0\n{L}1 -3 0\n{L}2 3 0\n", True),
+    ("canonical", "{H}\n{L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0\n", False),
+    ("leading comment", "c lead\n{H}\n{L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0\n", True),
+    ("comment between clauses", "{H}\n{L}9 1 2 0\nc mid\n{L}1 -3 0\n{L}2 3 0\n", True),
+    ("CRLF line ends", "{H}\r\n{L}9 1 2 0\r\n{L}1 -3 0\r\n{L}2 3 0\r\n", False),
+    ("clause wrapped over two lines", "{H}\n{L}9 1\n2 0\n{L}1 -3 0\n{L}2 3 0\n", False),
     ("repeated literal", "{H}\n{L}9 1 2 1 0\n{L}1 -3 0\n{L}2 3 0\n", False),
-    ("tautology", "{H}\n{L}9 1 2 0\n{L}1 -3 3 0\n{L}2 3 0\n", False),
     ("plus sign", "{H}\n{L}9 +1 2 0\n{L}1 -3 0\n{L}2 3 0\n", False),
     ("clause tokens on the header line", "{H} {L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0\n", False),
-    ("no final newline", "{H}\n{L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0", True),
+    ("no final newline", "{H}\n{L}9 1 2 0\n{L}1 -3 0\n{L}2 3 0", False),
+    ("tautology", "{H}\n{L}9 1 2 0\n{L}1 -3 3 0\n{L}2 3 0\n", True),
     ("header alone without newline", "{H}", False),
 ]
 DIALECTS = {
-    "wcnf": ("p wcnf 3 {} 9", "", parse_wcnf),
-    "pwcnf": ("p pwcnf 3 {} 9 2", "2 ", parse_pwcnf),
+    "wcnf": ("p wcnf 3 {} 9", "", parse_wcnf, 0),
+    "pwcnf": ("p pwcnf 3 {} 9 2", "2 ", parse_pwcnf, 2),
 }
 
 
+def expected_instance(name, dialect):
+    """The instance each class reads as: hard (1, 2), then the soft clauses
+    (-3,) of weight 1 and (3,) of weight 2, all labelled 2 in pwcnf."""
+    label = DIALECTS[dialect][3]
+    hard, soft = [(1, 2)], [SoftClause((-3,), 1, label), SoftClause((3,), 2, label)]
+    if name == "tautology":
+        soft = soft[1:]
+    elif name == "header alone without newline":
+        hard, soft = [], []
+    base = MaxSatInstance(3, hard, soft, top=9)
+    if dialect == "wcnf":
+        return base
+    return PartitionedInstance(base, n_part=2, hard_labels=[label] * len(hard))
+
+
 @pytest.mark.parametrize("dialect", DIALECTS)
-@pytest.mark.parametrize("name, template, bulk", CLASSES, ids=[c[0] for c in CLASSES])
-def test_each_input_class_parses_as_the_cursor_parser_reads_it(dialect, name, template, bulk):
-    header, label, parse = DIALECTS[dialect]
+@pytest.mark.parametrize("name, template, line_map", CLASSES, ids=[c[0] for c in CLASSES])
+def test_each_input_class_parses_as_the_cursor_parser_reads_it(dialect, name, template, line_map):
+    header, label, parse, _ = DIALECTS[dialect]
     header = header.format(template.split().count("0"))
     text = template.replace("{H}", header).replace("{L}", label)
+    expected = expected_instance(name, dialect)
+    caught = []
+    if name == "tautology":
+        caught = [(FormatWarning, "line 3: tautological clause dropped")]
     for data in (text, text.encode()):
-        assert (formats._parse_bulk(data, dialect) is not None) is bulk
-        assert (formats._parse_bulk(data, None) is not None) is bulk
-        expected = outcome(lambda t: formats._parse_tokens(t, dialect), data)
-        assert not isinstance(expected[0], tuple)  # each class is well formed
-        assert outcome(parse, data) == expected
-        assert outcome(lambda t: detect_and_parse(t)[1], data) == expected
+        for entry, result in ((parse, expected), (detect_and_parse, (dialect, expected))):
+            with counting_line_maps() as runs:
+                assert outcome(entry, data) == (result, caught)
+            assert bool(runs) is line_map
 
 
 @st.composite
 def canonical_instances(draw):
-    """Instances whose write_pwcnf text the bulk reader takes: clauses of
-    distinct variables, empty ones included, soft weights up to top - 1."""
+    """Instances of clauses of distinct variables, empty ones included, soft
+    weights up to top - 1 and hard-clause labels."""
     n_vars = draw(st.integers(0, 6))
     n_part = draw(st.integers(1, 4))
     top = draw(st.integers(1, 2**64))
@@ -93,13 +141,46 @@ def canonical_instances(draw):
 
 
 @given(canonical_instances())
-def test_bulk_reader_reads_write_pwcnf_as_the_cursor_parser_does(pinst):
+def test_parse_pwcnf_reads_back_write_pwcnf_without_the_line_map(pinst):
     text = write_pwcnf(pinst)
-    for data in (text, text.encode()):
-        parsed = formats._parse_bulk(data, "pwcnf")
-        assert parsed is not None
-        assert parsed == formats._parse_tokens(data, "pwcnf") == pinst
-        assert parsed.hard_labels == pinst.hard_labels
+    with without_line_map():
+        for data in (text, text.encode()):
+            parsed = parse_pwcnf(data)
+            assert parsed == pinst
+            assert parsed.hard_labels == pinst.hard_labels
+
+
+# str.splitlines breaks lines at \x0b, \x0c, \u2028 and a lone \r too; the
+# fast route's str.split breaks there, and the lines worked out afterwards
+# must count them as line ends.
+BREAKS = "p wcnf 3 4 9\n9 1 2 0\x0b1 -3 0\x0c\u20282 3 -3 0\r9 1 0\n"
+
+
+def splitlines_line(text, fragment):
+    """The 1-based str.splitlines line of text that holds fragment."""
+    return next(ln for ln, line in enumerate(text.splitlines(), 1) if fragment in line)
+
+
+@pytest.mark.parametrize("tail", ["", "c the only comment\n"], ids=["fast route", "comment last"])
+def test_lines_worked_out_after_the_fact_count_every_line_break(tail):
+    tautology = BREAKS + tail
+    valid = BREAKS.replace("2 3 -3 0", "2 3 0") + tail
+    bad_literal = valid.replace("9 1 0", "9 4 0")
+    assert splitlines_line(tautology, "2 3 -3 0") == 5
+    assert splitlines_line(bad_literal, "9 4 0") == 6
+    expected = MaxSatInstance(3, [(1, 2), (1,)], [SoftClause((-3,), 1), SoftClause((3,), 2)], top=9)
+    for encode in (str, str.encode):
+        with counting_line_maps() as runs:
+            assert outcome(parse_wcnf, encode(valid)) == (expected, [])
+        assert bool(runs) is bool(tail)  # only the comment runs _tokens up front
+        with counting_line_maps() as runs:
+            result, warned = outcome(parse_wcnf, encode(tautology))
+        assert result == MaxSatInstance(3, [(1, 2), (1,)], [SoftClause((-3,), 1)], top=9)
+        assert warned == [(FormatWarning, "line 5: tautological clause dropped")]
+        assert len(runs) == 1
+        assert outcome(parse_wcnf, encode(bad_literal)) == (
+            ("ParseError", 6, "literal 4 outside declared variables 1..3"), []
+        )
 
 
 def load_workloads(monkeypatch):
@@ -123,17 +204,17 @@ def corpus(wl, seed, stride):
         yield encode(gen(cfg, seed * stride + i), encoders.SchemeChoice(wl.scheme))
 
 
-def test_every_seed0_benchmark_instance_takes_the_bulk_path(monkeypatch):
-    def cursor(text, fmt):
-        raise AssertionError("the bulk reader declined a generated instance")
-
-    monkeypatch.setattr(formats, "_parse_tokens", cursor)
+def test_every_seed0_benchmark_instance_parses_without_the_line_map(monkeypatch):
     workloads = load_workloads(monkeypatch)
     count = 0
-    for wl in workloads.WORKLOADS.values():
-        for pinst in corpus(wl, 0, workloads.SEED_STRIDE):
-            data = write_pwcnf(pinst).encode()
-            kind, parsed = detect_and_parse(data)
-            assert kind == "pwcnf" and parsed.base == pinst.base
-            count += 1
+    with without_line_map():
+        for wl in workloads.WORKLOADS.values():
+            for pinst in corpus(wl, 0, workloads.SEED_STRIDE):
+                text = write_pwcnf(pinst)
+                labels = pinst.hard_labels or [1] * len(pinst.base.hard)
+                for data in (text, text.encode()):
+                    kind, parsed = detect_and_parse(data)
+                    assert kind == "pwcnf" and parsed.base == pinst.base
+                    assert parsed.hard_labels == labels
+                count += 1
     assert count == sum(wl.corpus_size for wl in workloads.WORKLOADS.values())
